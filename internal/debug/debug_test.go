@@ -16,18 +16,17 @@ import (
 // restart policy recovers the operation.
 const keyOverwriteSpec = "store:Lock_Task:1:KEY:0:-1:0xee"
 
-// golden records the §6.1 KEY-overwrite run on the given backend.
-func golden(t *testing.T, backend string) *Session {
+// golden records the §6.1 KEY-overwrite run.
+func golden(t *testing.T) *Session {
 	t.Helper()
 	spec, err := inject.ParseSpec(keyOverwriteSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		App:     apps.PinLockN(1),
-		Spec:    &spec,
-		Policy:  monitor.Policy{Kind: monitor.RestartOperation},
-		Backend: backend,
+		App:    apps.PinLockN(1),
+		Spec:   &spec,
+		Policy: monitor.Policy{Kind: monitor.RestartOperation},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,7 @@ func golden(t *testing.T, backend string) *Session {
 // operation, function, PC, value, verdict — and reports the recovery
 // that followed.
 func TestBlameGoldenKeyOverwrite(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	out, err := s.Blame(0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,39 +60,35 @@ func TestBlameGoldenKeyOverwrite(t *testing.T) {
 	}
 }
 
-// TestSeekGoldenBothBackends is the acceptance sweep: seek to a sample
-// of every region of the golden trace — first events, the fault, the
-// recovery, the final event — restores from the nearest keyframe and
-// proves the regenerated suffix byte-identical, on both backends.
-func TestSeekGoldenBothBackends(t *testing.T) {
-	for _, backend := range []string{"interp", "xlat"} {
-		t.Run(backend, func(t *testing.T) {
-			s := golden(t, backend)
-			st := s.Store()
-			targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
-			if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
-				targets = append(targets, faults[len(faults)-1])
-			}
-			if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
-				targets = append(targets, recs[0])
-			}
-			for _, idx := range targets {
-				c := st.Event(idx).Cycle
-				out, err := s.Seek(c)
-				if err != nil {
-					t.Fatalf("seek %d (event %d): %v", c, idx, err)
-				}
-				if !strings.Contains(out, "byte-identical") {
-					t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
-				}
-			}
-		})
+// TestSeekGolden is the acceptance sweep: seek to a sample of every
+// region of the golden trace — first events, the fault, the recovery,
+// the final event — restores from the nearest keyframe and proves the
+// regenerated suffix byte-identical.
+func TestSeekGolden(t *testing.T) {
+	s := golden(t)
+	st := s.Store()
+	targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
+	if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
+		targets = append(targets, faults[len(faults)-1])
+	}
+	if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
+		targets = append(targets, recs[0])
+	}
+	for _, idx := range targets {
+		c := st.Event(idx).Cycle
+		out, err := s.Seek(c)
+		if err != nil {
+			t.Fatalf("seek %d (event %d): %v", c, idx, err)
+		}
+		if !strings.Contains(out, "byte-identical") {
+			t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
+		}
 	}
 }
 
 // TestSeekPastEndRejected pins the out-of-range diagnostic.
 func TestSeekPastEndRejected(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	if _, err := s.Seek(s.Store().LastCycle() + 1); err == nil {
 		t.Fatal("seek past the end of the run succeeded")
 	}
@@ -103,7 +98,7 @@ func TestSeekPastEndRejected(t *testing.T) {
 // must show the legitimate monitor-path writes landing and the rogue
 // store denied, each attributed to its operation.
 func TestWatchKeyGolden(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	addr, n, err := s.ResolveGlobal("KEY")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +129,7 @@ func TestWatchKeyGolden(t *testing.T) {
 // fault, the last landed writer is the legitimate monitor write and the
 // denied rogue attempt is reported alongside.
 func TestLastWriterGolden(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	addr, n, err := s.ResolveGlobal("KEY")
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +155,7 @@ func TestLastWriterGolden(t *testing.T) {
 // the coordinate answers queries byte-identically, and a corrupted
 // snapshot id is rejected.
 func TestReplayCoordinateRoundTrip(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	coord := s.Coordinate()
 	id, specText, ok := strings.Cut(coord, "@")
 	if !ok {
@@ -241,57 +236,13 @@ func TestKeyframeEquivalenceAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestKeyframeDigestsMatchAcrossBackends records the golden run under
-// both backends and compares every keyframe: same cycles, same stream
-// positions, same state digests — the interpreter and the AOT
-// translator checkpoint identical architected states.
-func TestKeyframeDigestsMatchAcrossBackends(t *testing.T) {
-	a := golden(t, "interp")
-	b := golden(t, "xlat")
-	fa, fb := a.Keyframes().Frames(), b.Keyframes().Frames()
-	if len(fa) != len(fb) {
-		t.Fatalf("keyframe counts differ: interp=%d xlat=%d", len(fa), len(fb))
-	}
-	for i := range fa {
-		if fa[i].Cycle != fb[i].Cycle || fa[i].Event != fb[i].Event ||
-			fa[i].State.Digest() != fb[i].State.Digest() {
-			t.Errorf("keyframe %d differs: interp {cycle=%d event=%d %s} xlat {cycle=%d event=%d %s}",
-				i, fa[i].Cycle, fa[i].Event, fa[i].State.Digest(),
-				fb[i].Cycle, fb[i].Event, fb[i].State.Digest())
-		}
-	}
-}
-
-// TestSnapshotIDStableAcrossBackends runs the golden trial to
-// completion under both backends and snapshots the final architected
-// state: the content-addressed ids must agree, so replay coordinates
-// are backend-independent end to end.
-func TestSnapshotIDStableAcrossBackends(t *testing.T) {
-	a := golden(t, "interp")
-	b := golden(t, "xlat")
-	if a.SnapshotID() != b.SnapshotID() {
-		t.Fatalf("boot snapshot ids differ: interp=%s xlat=%s", a.SnapshotID(), b.SnapshotID())
-	}
-	sa, err := a.m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.ID() != sb.ID() {
-		t.Errorf("post-run snapshot ids differ: interp=%s xlat=%s", sa.ID(), sb.ID())
-	}
-}
-
 // TestStoreRefusesStaleBuffer is the monotonicity assertion across
 // Snapshot/Restore boundaries: re-executing from the boot checkpoint
 // rewinds the clock, so recording two executions into ONE buffer
 // produces cycle regressions — which the buffer counts and the indexed
 // store refuses to ingest. Fresh-buffer recordings stay clean.
 func TestStoreRefusesStaleBuffer(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	if s.Store().regressions != 0 || s.store.buf.CycleRegressions() != 0 {
 		t.Fatalf("clean recording counted %d regressions", s.store.buf.CycleRegressions())
 	}
@@ -352,7 +303,7 @@ func TestKeyframerEviction(t *testing.T) {
 // unified registry: query count and timing, re-executions, index sizes
 // and checkpointer state all appear.
 func TestDebugCounters(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	if _, err := s.Blame(0); err != nil {
 		t.Fatal(err)
 	}

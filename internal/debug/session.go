@@ -33,7 +33,6 @@ type Config struct {
 
 	Policy    monitor.Policy
 	MaxCycles uint64
-	Backend   string // "" = interpreter (run.BackendInterp)
 
 	KeyframeEvery uint64 // 0 = DefaultKeyframeEvery
 	MaxKeyframes  int    // 0 = DefaultMaxKeyframes
@@ -73,7 +72,6 @@ func New(cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		forge.Backend = cfg.Backend
 		s.forge = forge
 	} else {
 		inst := cfg.App.New()
@@ -140,7 +138,6 @@ func (s *Session) execute(buf *trace.Buffer, observe func(*mach.Machine)) (cycle
 	res, rerr := s.ctx.Fork(run.Options{
 		Policy:    s.cfg.Policy,
 		MaxCycles: s.cfg.MaxCycles,
-		Backend:   s.cfg.Backend,
 		Trace:     buf,
 		Arm:       observe,
 	})

@@ -11,8 +11,8 @@ import (
 // (internal/fuzz) against the frame-queue workload's network stack and
 // the SVC gate surface, with a random ablation proving what coverage
 // feedback buys. Campaigns fork every input from the pre-injection
-// checkpoint and are byte-identical at any parallelism and on either
-// execution backend, so the guided-vs-random edge inequality recorded
+// checkpoint and are byte-identical at any parallelism, so the
+// guided-vs-random edge inequality recorded
 // in BENCH_mach.json is a deterministic fact of (seed, budget), not a
 // statistical claim.
 
@@ -30,13 +30,17 @@ const (
 // Fuzz runs one fuzzing campaign — guided, or the random ablation —
 // against the scale's frame-queue workload (TCP-Echo, the only
 // workload scripting a network receive queue) at the harness's
-// parallelism. backend "" selects the process-wide default.
+// parallelism. The interpreter is the only execution engine: backend
+// must be "" or "interp".
 func (h *Harness) Fuzz(s AppSet, seed int64, budget int, random bool, pol monitor.Policy, backend string) (*fuzz.Report, error) {
+	if backend != "" && backend != "interp" {
+		return nil, fmt.Errorf("fuzz: unknown execution backend %q (the interpreter is the only engine)", backend)
+	}
 	for _, app := range AppsFor(s) {
 		if app.Name == "TCP-Echo" {
 			return fuzz.Run(fuzz.Options{
 				App: app, Seed: seed, Budget: budget, Parallel: h.parallel,
-				Random: random, Policy: pol, Backend: backend,
+				Random: random, Policy: pol,
 			})
 		}
 	}

@@ -101,3 +101,13 @@ func TestInjectCampaignRestartPolicy(t *testing.T) {
 		t.Errorf("recovered trials in %d workloads, want >= 2", appsRecovered)
 	}
 }
+
+// The interpreter is the only execution engine: Fuzz's trailing engine
+// argument accepts "" and "interp" and rejects any other name before a
+// campaign starts.
+func TestFuzzRejectsUnknownEngine(t *testing.T) {
+	h := NewHarness(1)
+	if _, err := h.Fuzz(Quick, 1, 1, false, monitor.Policy{}, "jit"); err == nil {
+		t.Fatal("unknown execution engine accepted")
+	}
+}

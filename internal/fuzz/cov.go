@@ -33,7 +33,7 @@ const FeatureSpace = EdgeSpace * numBuckets
 // Everything hashed is an interned name id or a dense index, and
 // AttachTrace pre-interns every module function in module order on each
 // fork, so the same execution produces the same features in every
-// trial, at any parallelism, under either backend.
+// trial, at any parallelism.
 type CovSink struct {
 	prev    uint32
 	hits    []uint8  // saturating per-edge hit counts

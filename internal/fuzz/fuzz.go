@@ -26,7 +26,7 @@
 // guided-vs-random edge counts measure what coverage feedback buys.
 //
 // Determinism contract: the same Options produce a byte-identical
-// Report at any Parallel and under either execution backend. All
+// Report at any Parallel. All
 // randomness comes from one seeded generator consumed single-threaded
 // between execution barriers; trials fan out over per-worker forges
 // (booted identically — their snapshot IDs are asserted equal) and
@@ -61,8 +61,6 @@ type Options struct {
 	Random bool
 	// Policy is the recovery policy trials run under.
 	Policy monitor.Policy
-	// Backend selects the execution backend ("" = interpreter).
-	Backend string
 }
 
 // Finding is one non-clean trial, with its complete replay coordinate.
@@ -79,7 +77,6 @@ type Finding struct {
 // byte-identically.
 type Report struct {
 	App        string
-	Backend    string
 	SnapshotID string
 	Seed       int64
 	Guided     bool
@@ -159,7 +156,6 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Backend = opts.Backend
 		forges[i] = f
 		if id := f.SnapshotID(); id != forges[0].SnapshotID() {
 			return nil, fmt.Errorf("fuzz: worker %d booted to snapshot %s, worker 0 to %s", i, id, forges[0].SnapshotID())
@@ -168,7 +164,7 @@ func Run(opts Options) (*Report, error) {
 	lead := forges[0]
 
 	rep := &Report{
-		App: opts.App.Name, Backend: opts.Backend, SnapshotID: lead.SnapshotID(),
+		App: opts.App.Name, SnapshotID: lead.SnapshotID(),
 		Seed: opts.Seed, Guided: !opts.Random,
 	}
 
@@ -450,19 +446,16 @@ func calibrationSpec(frameTarget string, frames []frameEntry) inject.Spec {
 }
 
 // Render prints the campaign summary: byte-identical for identical
-// Options at any parallelism and either backend.
+// Options at any parallelism. The header keeps its historical
+// backend=interp token so recorded summaries stay comparable.
 func (r *Report) Render() string {
 	var b strings.Builder
 	mode := "guided"
 	if !r.Guided {
 		mode = "random"
 	}
-	backend := r.Backend
-	if backend == "" {
-		backend = "interp"
-	}
-	fmt.Fprintf(&b, "fuzz campaign: %s  seed=%d  inputs=%d  mode=%s  backend=%s\n",
-		r.App, r.Seed, r.Inputs, mode, backend)
+	fmt.Fprintf(&b, "fuzz campaign: %s  seed=%d  inputs=%d  mode=%s  backend=interp\n",
+		r.App, r.Seed, r.Inputs, mode)
 	fmt.Fprintf(&b, "  snapshot %s  clean=%d cycles  trial budget=%d cycles\n",
 		r.SnapshotID, r.CleanCycles, r.TrialCycles)
 	fmt.Fprintf(&b, "  unique edges=%d  corpus: %d frames, %d gates\n",

@@ -37,27 +37,6 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The two execution backends must drive every trial — including its
-// coverage event stream — identically, so the whole campaign agrees
-// modulo the backend label.
-func TestCampaignDeterministicAcrossBackends(t *testing.T) {
-	opts := testOptions()
-	opts.Parallel = 4
-	interp, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Backend = "xlat"
-	xlat, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xlat.Backend = interp.Backend // the one field allowed to differ
-	if got, want := xlat.Render(), interp.Render(); got != want {
-		t.Errorf("xlat summary differs from interp:\n--- xlat ---\n%s--- interp ---\n%s", got, want)
-	}
-}
-
 // Coverage guidance must earn its keep: at the same seed and budget,
 // the guided campaign reaches strictly more unique edges than the
 // random ablation (which runs the same mutators against a frozen seed

@@ -34,12 +34,6 @@ import (
 type Forge struct {
 	App *apps.App
 
-	// Backend selects the execution backend for every forked trial
-	// ("" = interpreter, "xlat" = threaded code). Set it before the
-	// first Run; trials are byte-identical either way, which is exactly
-	// what the fuzzing campaigns' cross-backend identity test asserts.
-	Backend string
-
 	inst *apps.Instance
 	opec *run.OPECContext // exactly one of opec/acesCtx is set
 	aces *run.ACESContext
@@ -162,7 +156,6 @@ func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *tr
 	res, runErr := f.opec.Fork(run.Options{
 		Policy:    pol,
 		MaxCycles: maxCycles,
-		Backend:   f.Backend,
 		Trace:     buf,
 		Arm: func(m *mach.Machine) {
 			// Same arming as the power-on path (TraceOPEC): campaigns run
@@ -225,7 +218,6 @@ func (f *Forge) runACES(spec Spec, maxCycles uint64) (out Outcome, err error) {
 	}()
 	res, runErr := f.aces.Fork(run.Options{
 		MaxCycles: maxCycles,
-		Backend:   f.Backend,
 		Arm: func(m *mach.Machine) {
 			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
 		},

@@ -7,7 +7,6 @@ import (
 	"opec/internal/apps"
 	"opec/internal/mach"
 	"opec/internal/monitor"
-	"opec/internal/run"
 )
 
 // The forge's byte-identity contract on a single trial: forking the
@@ -94,69 +93,5 @@ func TestForgeRestartAfterInjectionParanoid(t *testing.T) {
 	}
 	if !restarted {
 		t.Log("no planned bit flip tripped a restart at this seed; rogue-store leg covered the restart path")
-	}
-}
-
-// TestForgeBitFlipAfterForkXlatParanoid is the translation-cache
-// invalidation regression for the xlat backend: the forge's Arm hook
-// clears the certificate table after every fork-restore, so any
-// certificate-fused fast path the translation cache built during an
-// earlier trial must be re-keyed away, never served stale. Paranoid
-// mode turns a stale fused path into a monitor crash (re-adjudication
-// panics on the first unsound elision), and the interp forge running
-// the same specs pins byte-identity of every outcome field.
-func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
-	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
-	savedB := run.DefaultBackend
-	defer func() {
-		mach.ParanoidProofs, mach.DisableProofs = savedP, savedD
-		run.DefaultBackend = savedB
-	}()
-	mach.ParanoidProofs, mach.DisableProofs = true, false
-
-	app := apps.PinLockN(2)
-	pol := monitor.Policy{Kind: monitor.RestartOperation}
-
-	mkForge := func(backend string) *Forge {
-		t.Helper()
-		run.DefaultBackend = backend
-		f, err := NewForge(app)
-		if err != nil {
-			t.Fatalf("%s forge: %v", backend, err)
-		}
-		return f
-	}
-	fi := mkForge(run.BackendInterp)
-	fx := mkForge(run.BackendXlat)
-
-	inst, b := compilePinLock(t, 2)
-	specs := []Spec{
-		// The §6.1 rogue store first: its trial runs with certificates
-		// installed at boot (fused variants get built), then every
-		// later fork clears them — the exact stale-closure hazard.
-		{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE},
-	}
-	for _, sp := range Plan(b, inst.Devices, DefaultConfig(42)) {
-		if sp.Kind == BitFlip {
-			specs = append(specs, sp)
-		}
-	}
-
-	for _, sp := range specs {
-		oi, err := fi.Run(sp, pol, 0)
-		if err != nil {
-			t.Fatalf("%s interp: %v", sp, err)
-		}
-		ox, err := fx.Run(sp, pol, 0)
-		if err != nil {
-			t.Fatalf("%s xlat: %v", sp, err)
-		}
-		if ox.Verdict == CrashedMonitor && oi.Verdict != CrashedMonitor {
-			t.Errorf("%s: xlat trial crashed where interp did not (stale fused path?): %s", sp, ox.Err)
-			continue
-		}
-		if !reflect.DeepEqual(oi, ox) {
-			t.Errorf("%s: fork outcome diverges:\n  interp: %+v\n  xlat:   %+v", sp, oi, ox)
-		}
 	}
 }

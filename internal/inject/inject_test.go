@@ -35,6 +35,21 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec("store:main"); err == nil {
 		t.Error("truncated spec accepted")
 	}
+	for _, bad := range []string{
+		"flip:Lock_Task:1:KEY:0:8:0x0",
+		"flip:Lock_Task:1:KEY:0:-1:0x0",
+		"flip:Lock_Task:1:KEY:0:31:0x0",
+	} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("bit flip outside the byte accepted: %q", bad)
+		}
+	}
+	for bit := 0; bit < 8; bit++ {
+		s := Spec{Kind: BitFlip, Func: "Lock_Task", N: 1, Target: "KEY", Bit: bit}
+		if _, err := ParseSpec(s.String()); err != nil {
+			t.Errorf("bit %d rejected: %v", bit, err)
+		}
+	}
 }
 
 func compilePinLock(t *testing.T, rounds int) (*apps.Instance, *core.Build) {

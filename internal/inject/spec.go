@@ -267,6 +267,11 @@ func ParseSpec(text string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("inject: spec %q: bad bit: %w", text, err)
 	}
+	if s.Kind == BitFlip && (bit < 0 || bit > 7) {
+		// The flip hook rewrites one byte: any other index would leave
+		// memory untouched and report a fault that never happened.
+		return Spec{}, fmt.Errorf("inject: spec %q: bit %d outside the flipped byte (want 0-7)", text, bit)
+	}
 	s.Bit = bit
 	val, err := strconv.ParseUint(parts[6], 0, 32)
 	if err != nil {

@@ -343,10 +343,5 @@ func (m *Machine) Fork() *Machine {
 	nm.Trace = nil
 	nm.traceIDs = nil
 	nm.watch = nil
-	// A translation cache holds per-machine state; the clone gets its
-	// own (initially empty) engine rather than sharing the parent's.
-	if m.backend != nil {
-		nm.backend = m.backend.Fork()
-	}
 	return nm
 }

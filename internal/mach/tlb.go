@@ -70,7 +70,7 @@ func (m *MPU) lookup(addr uint32) *tlbEntry {
 
 // Invalidate drops every micro-TLB entry. Region and enable mutations
 // call it internally; it is exported for callers that mutate Regions
-// directly (tests, exotic backends).
+// directly (tests).
 func (m *MPU) Invalidate() { m.invalidate() }
 
 // flush erases every entry outright. Generation bumps make this

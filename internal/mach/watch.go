@@ -7,10 +7,9 @@ package mach
 // verdict of each. Two hooks cover the two ways memory changes:
 //
 //   - Machine.SetStoreWatch observes program-issued stores. Every
-//     execution backend funnels data stores through storeChecked /
-//     storeProven (the interpreter directly, the threaded-code engine
-//     via Env.Store/Env.StoreProven, injection hooks via InjectStore),
-//     so one seam sees them all, certificate-elided or fully
+//     data store funnels through storeChecked / storeProven (the
+//     interpreter directly, injection hooks via InjectStore), so one
+//     seam sees them all, certificate-elided or fully
 //     adjudicated, and sees the denied attempts the memory itself never
 //     records.
 //   - Bus.SetRawWatch observes hardware-level writes below the

@@ -13,19 +13,20 @@ import (
 	"opec/internal/run"
 )
 
-// The backend differential fuzzer: generate random mixed workloads —
+// The fast-path differential fuzzer: generate random mixed workloads —
 // bounded loops, the full binary-operator set, arrays, stack
 // round-trips, spilled arguments — and run each under the vanilla and
-// OPEC build flavours with both execution backends. The translation
-// engine must be observably identical to the interpreter: same return,
-// same error text, same absolute cycle count, same final memory and
-// the same counter readings. A paranoid-mode sweep rides along so the
-// re-adjudicated proof paths are fuzzed too.
+// OPEC build flavours in every fast-path configuration the machine
+// offers (runtime certificate elision on/off, paranoid re-adjudication
+// of every elided access, the lookup caches on/off). A fast path may
+// buy wall-clock time only: the return, the error text, the absolute
+// cycle count, the final memory and every architected counter must be
+// byte-identical to the default configuration.
 
-// genMixedProgram builds a random always-terminating program that is
-// deliberately heavy on translation-unit shapes: long pure runs (fused
-// into superinstructions), cmp+branch loop back-edges, load+op+store
-// peepholes, helper calls with spilled arguments.
+// genMixedProgram builds a random always-terminating program that mixes
+// long pure ALU runs, cmp+branch loop back-edges, load+op+store
+// sequences over shared globals and arrays (the accesses the proof
+// engine certifies), and helper calls with spilled arguments.
 func genMixedProgram(rng *rand.Rand) (*ir.Module, core.Config) {
 	m := ir.NewModule("bfuzz")
 	nGlobals := 2 + rng.Intn(5)
@@ -85,7 +86,7 @@ func genMixedProgram(rng *rand.Rand) (*ir.Module, core.Config) {
 			v := fb.Load(ir.I32, src)
 			switch rng.Intn(6) {
 			case 0:
-				// Load+op+store peephole shape with a random operator;
+				// Load+op+store with a random operator;
 				// |1 keeps divide/shift operands well-behaved without
 				// dodging the wraparound cases (they're deterministic).
 				k := ops[rng.Intn(len(ops))]
@@ -137,18 +138,28 @@ func genMixedProgram(rng *rand.Rand) (*ir.Module, core.Config) {
 	return m, core.Config{Entries: entries}
 }
 
-// backendObs is everything one run exposes: outcome, time, memory,
-// and the full counter set.
-type backendObs struct {
+// runObs is everything one run exposes: outcome, time, memory, and
+// the architected counters.
+type runObs struct {
 	err      string
 	cycles   uint64
 	globals  []uint32
 	counters string
+	elided   uint64
 }
 
-func observeRun(t *testing.T, res *run.Result, err error, m *ir.Module) backendObs {
+// fastPathCounter reports whether a counter measures a fast path
+// itself rather than architected behaviour: its value legitimately
+// depends on which fast paths are switched on.
+func fastPathCounter(name string) bool {
+	return strings.HasPrefix(name, "mach.proofs.") ||
+		strings.HasPrefix(name, "mach.tlb.") ||
+		name == "mach.bus.dev_cache_hits"
+}
+
+func observeRun(t *testing.T, res *run.Result, err error, m *ir.Module) runObs {
 	t.Helper()
-	o := backendObs{}
+	o := runObs{}
 	if err != nil {
 		o.err = err.Error()
 	}
@@ -158,7 +169,12 @@ func observeRun(t *testing.T, res *run.Result, err error, m *ir.Module) backendO
 	o.cycles = res.Cycles
 	var sb strings.Builder
 	for _, c := range res.Machine.Counters() {
-		fmt.Fprintf(&sb, "%s=%d\n", c.Name, c.Value)
+		if c.Name == "mach.proofs.elided" {
+			o.elided = c.Value
+		}
+		if !fastPathCounter(c.Name) {
+			fmt.Fprintf(&sb, "%s=%d\n", c.Name, c.Value)
+		}
 	}
 	o.counters = sb.String()
 	for _, g := range m.Globals {
@@ -175,76 +191,95 @@ func observeRun(t *testing.T, res *run.Result, err error, m *ir.Module) backendO
 	return o
 }
 
-func compareObs(t *testing.T, scheme string, oi, ox backendObs) {
+func compareObs(t *testing.T, what string, want, got runObs) {
 	t.Helper()
-	if oi.err != ox.err {
-		t.Errorf("%s err:\n  interp: %s\n  xlat:   %s", scheme, oi.err, ox.err)
+	if want.err != got.err {
+		t.Errorf("%s err:\n  default: %s\n  got:     %s", what, want.err, got.err)
 	}
-	if oi.cycles != ox.cycles {
-		t.Errorf("%s cycles: interp=%d xlat=%d", scheme, oi.cycles, ox.cycles)
+	if want.cycles != got.cycles {
+		t.Errorf("%s cycles: default=%d got=%d", what, want.cycles, got.cycles)
 	}
-	if oi.counters != ox.counters {
-		t.Errorf("%s counters diverge:\n--- interp ---\n%s--- xlat ---\n%s", scheme, oi.counters, ox.counters)
+	if want.counters != got.counters {
+		t.Errorf("%s counters diverge:\n--- default ---\n%s--- got ---\n%s", what, want.counters, got.counters)
 	}
-	if len(oi.globals) != len(ox.globals) {
-		t.Fatalf("%s global count: %d vs %d", scheme, len(oi.globals), len(ox.globals))
+	if len(want.globals) != len(got.globals) {
+		t.Fatalf("%s global count: %d vs %d", what, len(want.globals), len(got.globals))
 	}
-	for i := range oi.globals {
-		if oi.globals[i] != ox.globals[i] {
-			t.Errorf("%s g%d: interp=%#x xlat=%#x", scheme, i, oi.globals[i], ox.globals[i])
+	for i := range want.globals {
+		if want.globals[i] != got.globals[i] {
+			t.Errorf("%s g%d: default=%#x got=%#x", what, i, want.globals[i], got.globals[i])
 		}
 	}
 }
 
-// TestDifferentialInterpVsXlat is the tentpole acceptance suite: 250
-// seeds x {vanilla, OPEC} x {interp, xlat} = 1000 mixed-workload runs,
-// every observable compared. Every 10th seed additionally repeats the
-// OPEC pair under ParanoidProofs, so elided accesses keep being
-// re-adjudicated under translation.
-func TestDifferentialInterpVsXlat(t *testing.T) {
+// fastPathConfig is one point of the machine's fast-path lattice. The
+// switches are process globals, so set installs them and returns the
+// restore func.
+type fastPathConfig struct {
+	name                         string
+	noProofs, paranoid, noCaches bool
+}
+
+var fastPathConfigs = []fastPathConfig{
+	{name: "default"},
+	{name: "noproofs", noProofs: true},
+	{name: "paranoid", paranoid: true},
+	{name: "nocaches", noCaches: true},
+}
+
+func (c fastPathConfig) set() (restore func()) {
+	p, q, d := mach.DisableProofs, mach.ParanoidProofs, mach.DisableCaches
+	mach.DisableProofs, mach.ParanoidProofs, mach.DisableCaches = c.noProofs, c.paranoid, c.noCaches
+	return func() { mach.DisableProofs, mach.ParanoidProofs, mach.DisableCaches = p, q, d }
+}
+
+// TestDifferentialFastPaths runs 250 seeds x {vanilla, OPEC} x the four
+// fast-path configurations, every observable compared against the
+// default configuration. The paranoid configuration re-adjudicates
+// every certificate-elided access through the full protection check
+// and panics on a disagreement, so it is also the random-program
+// soundness check of runtime elision.
+func TestDifferentialFastPaths(t *testing.T) {
 	const trials = 250
-	board := mach.STM32F4Discovery()
+	// The random programs fit in a fraction of the Discovery board's
+	// flash; trimming it keeps the 2000 power-on buses cheap.
+	board := *mach.STM32F4Discovery()
+	board.FlashSize = 128 << 10
+	var elided uint64
 	for seed := int64(0); seed < trials; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			vanilla := func(backend string) (backendObs, *ir.Module) {
-				m, _ := genMixedProgram(rand.New(rand.NewSource(seed)))
-				inst := &apps.Instance{
-					Mod: m, Board: board, Clk: &mach.Clock{},
+			vm, _ := genMixedProgram(rand.New(rand.NewSource(seed)))
+			om, cfg := genMixedProgram(rand.New(rand.NewSource(seed)))
+			b, err := core.Compile(om, &board, cfg)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			newInst := func(m *ir.Module, cfg core.Config) *apps.Instance {
+				return &apps.Instance{
+					Mod: m, Cfg: cfg, Board: &board, Clk: &mach.Clock{},
 					MaxCycles: 10_000_000,
 				}
-				res, err := run.VanillaWith(inst, run.Options{Backend: backend})
-				return observeRun(t, res, err, m), m
 			}
-			oi, _ := vanilla(run.BackendInterp)
-			ox, _ := vanilla(run.BackendXlat)
-			compareObs(t, "vanilla", oi, ox)
-
-			opec := func(backend string) backendObs {
-				m, cfg := genMixedProgram(rand.New(rand.NewSource(seed)))
-				b, err := core.Compile(m, board, cfg)
-				if err != nil {
-					t.Fatalf("compile: %v", err)
+			var wantV, wantO runObs
+			for i, c := range fastPathConfigs {
+				restore := c.set()
+				res, err := run.VanillaWith(newInst(vm, core.Config{}), run.Options{})
+				v := observeRun(t, res, err, vm)
+				res, err = run.OPECWith(newInst(om, cfg), b, run.Options{})
+				o := observeRun(t, res, err, om)
+				restore()
+				if i == 0 {
+					wantV, wantO = v, o
+					elided += o.elided
+					continue
 				}
-				inst := &apps.Instance{
-					Mod: m, Cfg: cfg, Board: board, Clk: &mach.Clock{},
-					MaxCycles: 10_000_000,
-				}
-				res, rerr := run.OPECWith(inst, b, run.Options{Backend: backend})
-				return observeRun(t, res, rerr, m)
-			}
-			pi := opec(run.BackendInterp)
-			px := opec(run.BackendXlat)
-			compareObs(t, "opec", pi, px)
-
-			if seed%10 == 0 {
-				saved := mach.ParanoidProofs
-				mach.ParanoidProofs = true
-				qi := opec(run.BackendInterp)
-				qx := opec(run.BackendXlat)
-				mach.ParanoidProofs = saved
-				compareObs(t, "opec-paranoid", qi, qx)
+				compareObs(t, "vanilla/"+c.name, wantV, v)
+				compareObs(t, "opec/"+c.name, wantO, o)
 			}
 		})
+	}
+	if elided == 0 {
+		t.Fatal("no OPEC run elided a certified access; the proof fast path went unexercised")
 	}
 }

@@ -44,13 +44,6 @@ func BootOPEC(inst *apps.Instance, b *core.Build) (*OPECContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The backend is attached once at boot so the translation cache
-	// stays warm across every forked trial (Restore rewinds only
-	// architected state; translations are content-addressed by
-	// function, privilege and certificate row, never stale).
-	if err := attachBackend(mon.M, ""); err != nil {
-		return nil, err
-	}
 	return &OPECContext{Inst: inst, B: b, Mon: mon, snap: snap, monSnap: mon.Snapshot()}, nil
 }
 
@@ -79,9 +72,6 @@ func (c *OPECContext) Fork(opts Options) (*Result, error) {
 	mon.M.MaxCycles = c.Inst.MaxCycles
 	if opts.MaxCycles > 0 {
 		mon.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(mon.M, opts.Backend); err != nil {
-		return nil, err
 	}
 	if opts.Trace != nil {
 		mon.AttachTrace(opts.Trace)
@@ -119,9 +109,6 @@ func BootACES(inst *apps.Instance, b *aces.Build) (*ACESContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := attachBackend(rt.M, ""); err != nil {
-		return nil, err
-	}
 	return &ACESContext{Inst: inst, B: b, RT: rt, snap: snap, rtSnap: rt.Snapshot()}, nil
 }
 
@@ -147,9 +134,6 @@ func (c *ACESContext) Fork(opts Options) (*Result, error) {
 	rt.M.MaxCycles = c.Inst.MaxCycles
 	if opts.MaxCycles > 0 {
 		rt.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(rt.M, opts.Backend); err != nil {
-		return nil, err
 	}
 	if opts.Trace != nil {
 		rt.AttachTrace(opts.Trace)

@@ -111,12 +111,6 @@ type Options struct {
 	// for this run (the campaign forge sets per-trial budgets on a
 	// shared checkpointed machine).
 	MaxCycles uint64
-	// Backend selects the execution engine: BackendInterp (the
-	// reference interpreter), BackendXlat (threaded-code translation),
-	// or "" for the process default (OPEC_MACH_BACKEND, else interp).
-	// Backends are observably identical — cycle counts, faults, traces
-	// and counters match byte for byte; only wall-clock time differs.
-	Backend string
 }
 
 // OPECWith is OPECPrecompiled with Options. Unlike the plain entry
@@ -136,9 +130,6 @@ func OPECWith(inst *apps.Instance, b *core.Build, opts Options) (*Result, error)
 	mon.M.MaxCycles = inst.MaxCycles
 	if opts.MaxCycles > 0 {
 		mon.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(mon.M, opts.Backend); err != nil {
-		return nil, err
 	}
 	if opts.Trace != nil {
 		mon.AttachTrace(opts.Trace)
@@ -167,9 +158,6 @@ func ACESWith(inst *apps.Instance, b *aces.Build, opts Options) (*Result, error)
 	rt.M.MaxCycles = inst.MaxCycles
 	if opts.MaxCycles > 0 {
 		rt.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(rt.M, opts.Backend); err != nil {
-		return nil, err
 	}
 	if opts.Trace != nil {
 		rt.AttachTrace(opts.Trace)
@@ -201,9 +189,6 @@ func VanillaWith(inst *apps.Instance, opts Options) (*Result, error) {
 	}
 	m := van.Instantiate(bus)
 	m.MaxCycles = inst.MaxCycles
-	if err := attachBackend(m, opts.Backend); err != nil {
-		return nil, err
-	}
 	if opts.Trace != nil {
 		m.AttachTrace(opts.Trace)
 	}
@@ -242,9 +227,6 @@ func OPECPMP(inst *apps.Instance) (*Result, error) {
 		return nil, err
 	}
 	mon.M.MaxCycles = inst.MaxCycles
-	if err := attachBackend(mon.M, ""); err != nil {
-		return nil, err
-	}
 	if err := finish(mon.M, mon.Run(), "operation "+mon.Current().Name); err != nil {
 		return nil, err
 	}
