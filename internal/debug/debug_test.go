@@ -7,6 +7,7 @@ import (
 	"opec/internal/apps"
 	"opec/internal/exper"
 	"opec/internal/inject"
+	"opec/internal/mach"
 	"opec/internal/monitor"
 	"opec/internal/trace"
 )
@@ -60,30 +61,34 @@ func TestBlameGoldenKeyOverwrite(t *testing.T) {
 	}
 }
 
-// TestSeekGolden is the acceptance sweep: seek to a sample of every
-// region of the golden trace — first events, the fault, the recovery,
-// the final event — restores from the nearest keyframe and proves the
-// regenerated suffix byte-identical.
-func TestSeekGolden(t *testing.T) {
-	s := golden(t)
-	st := s.Store()
-	targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
-	if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
-		targets = append(targets, faults[len(faults)-1])
-	}
-	if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
-		targets = append(targets, recs[0])
-	}
-	for _, idx := range targets {
-		c := st.Event(idx).Cycle
-		out, err := s.Seek(c)
-		if err != nil {
-			t.Fatalf("seek %d (event %d): %v", c, idx, err)
+// TestSeekGoldenBothBackends is the acceptance sweep: seek to a sample
+// of every region of the golden trace — first events, the fault, the
+// recovery, the final event — restores from the nearest keyframe and
+// proves the regenerated suffix byte-identical. The name dates from
+// when the sweep also ran on a second execution engine; the interp
+// subtest is the interpreter, the only engine.
+func TestSeekGoldenBothBackends(t *testing.T) {
+	t.Run("interp", func(t *testing.T) {
+		s := golden(t)
+		st := s.Store()
+		targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
+		if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
+			targets = append(targets, faults[len(faults)-1])
 		}
-		if !strings.Contains(out, "byte-identical") {
-			t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
+		if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
+			targets = append(targets, recs[0])
 		}
-	}
+		for _, idx := range targets {
+			c := st.Event(idx).Cycle
+			out, err := s.Seek(c)
+			if err != nil {
+				t.Fatalf("seek %d (event %d): %v", c, idx, err)
+			}
+			if !strings.Contains(out, "byte-identical") {
+				t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
+			}
+		}
+	})
 }
 
 // TestSeekPastEndRejected pins the out-of-range diagnostic.
@@ -233,6 +238,66 @@ func TestKeyframeEquivalenceAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// goldenSlowPath records the golden run with every interpreter fast
+// path off: no certificate elision, no lookup caches.
+func goldenSlowPath(t *testing.T) *Session {
+	t.Helper()
+	p, c := mach.DisableProofs, mach.DisableCaches
+	defer func() { mach.DisableProofs, mach.DisableCaches = p, c }()
+	mach.DisableProofs, mach.DisableCaches = true, true
+	return golden(t)
+}
+
+// TestKeyframeDigestsMatchAcrossBackends records the golden run with
+// the interpreter's fast paths on and off and compares every keyframe:
+// same cycles, same stream positions, same state digests — certificate
+// elision and the lookup caches checkpoint identical architected
+// states. The name dates from when the comparison was against a second
+// execution engine.
+func TestKeyframeDigestsMatchAcrossBackends(t *testing.T) {
+	a := golden(t)
+	b := goldenSlowPath(t)
+	fa, fb := a.Keyframes().Frames(), b.Keyframes().Frames()
+	if len(fa) == 0 {
+		t.Fatal("golden run captured no keyframes")
+	}
+	if len(fa) != len(fb) {
+		t.Fatalf("keyframe counts differ: fast=%d slow=%d", len(fa), len(fb))
+	}
+	for i := range fa {
+		if fa[i].Cycle != fb[i].Cycle || fa[i].Event != fb[i].Event ||
+			fa[i].State.Digest() != fb[i].State.Digest() {
+			t.Errorf("keyframe %d differs: fast {cycle=%d event=%d %s} slow {cycle=%d event=%d %s}",
+				i, fa[i].Cycle, fa[i].Event, fa[i].State.Digest(),
+				fb[i].Cycle, fb[i].Event, fb[i].State.Digest())
+		}
+	}
+}
+
+// TestSnapshotIDStableAcrossBackends runs the golden trial to
+// completion with the fast paths on and off and snapshots the final
+// architected state: the content-addressed ids must agree, so replay
+// coordinates do not depend on the fast-path switches. The name dates
+// from when the comparison was against a second execution engine.
+func TestSnapshotIDStableAcrossBackends(t *testing.T) {
+	a := golden(t)
+	b := goldenSlowPath(t)
+	if a.SnapshotID() != b.SnapshotID() {
+		t.Fatalf("boot snapshot ids differ: fast=%s slow=%s", a.SnapshotID(), b.SnapshotID())
+	}
+	sa, err := a.m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.ID() != sb.ID() {
+		t.Errorf("post-run snapshot ids differ: fast=%s slow=%s", sa.ID(), sb.ID())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"opec/internal/apps"
 	"opec/internal/inject"
+	"opec/internal/mach"
 	"opec/internal/trace"
 )
 
@@ -34,6 +35,30 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 		if got, want := rep.Render(), base.Render(); got != want {
 			t.Errorf("parallel=%d summary differs from parallel=1:\n--- got ---\n%s--- want ---\n%s", par, got, want)
 		}
+	}
+}
+
+// The interpreter's fast paths — certificate elision and the lookup
+// caches — must drive every trial, including its coverage event
+// stream, exactly as the fully checked path does, so the whole campaign
+// agrees with them switched off. The name dates from when the
+// comparison was against a second execution engine.
+func TestCampaignDeterministicAcrossBackends(t *testing.T) {
+	opts := testOptions()
+	opts.Parallel = 4
+	fast, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, c := mach.DisableProofs, mach.DisableCaches
+	mach.DisableProofs, mach.DisableCaches = true, true
+	slow, err := Run(opts)
+	mach.DisableProofs, mach.DisableCaches = p, c
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slow.Render(), fast.Render(); got != want {
+		t.Errorf("summary differs with fast paths off:\n--- off ---\n%s--- on ---\n%s", got, want)
 	}
 }
 

@@ -95,3 +95,57 @@ func TestForgeRestartAfterInjectionParanoid(t *testing.T) {
 		t.Log("no planned bit flip tripped a restart at this seed; rogue-store leg covered the restart path")
 	}
 }
+
+// TestForgeBitFlipAfterForkXlatParanoid runs the §6.1 rogue store and
+// then every planned bit flip on one forge, each trial forked from the
+// checkpoint, once with every certificate elision re-adjudicated
+// (paranoid) and once with elision disabled. The rogue store's trial
+// runs with the boot certificates installed; every later fork clears
+// them, so an elision on a stale certificate would crash the paranoid
+// forge, and any other divergence shows up in the outcome fields. The
+// name dates from when this pinned a second execution engine's
+// translation caches against the interpreter.
+func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
+	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
+	defer func() { mach.ParanoidProofs, mach.DisableProofs = savedP, savedD }()
+
+	app := apps.PinLockN(2)
+	pol := monitor.Policy{Kind: monitor.RestartOperation}
+	inst, b := compilePinLock(t, 2)
+	specs := []Spec{
+		{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE},
+	}
+	for _, sp := range Plan(b, inst.Devices, DefaultConfig(42)) {
+		if sp.Kind == BitFlip {
+			specs = append(specs, sp)
+		}
+	}
+
+	outcomes := func(paranoid, noProofs bool) []Outcome {
+		t.Helper()
+		mach.ParanoidProofs, mach.DisableProofs = paranoid, noProofs
+		f, err := NewForge(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]Outcome, len(specs))
+		for i, sp := range specs {
+			if outs[i], err = f.Run(sp, pol, 0); err != nil {
+				t.Fatalf("%s: %v", sp, err)
+			}
+		}
+		return outs
+	}
+	paranoid := outcomes(true, false)
+	checked := outcomes(false, true)
+	for i, sp := range specs {
+		po, co := paranoid[i], checked[i]
+		if po.Verdict == CrashedMonitor && co.Verdict != CrashedMonitor {
+			t.Errorf("%s: paranoid trial crashed where the checked one did not (stale certificate?): %s", sp, po.Err)
+			continue
+		}
+		if !reflect.DeepEqual(po, co) {
+			t.Errorf("%s: fork outcome diverges:\n  paranoid: %+v\n  checked:  %+v", sp, po, co)
+		}
+	}
+}

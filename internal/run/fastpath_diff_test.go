@@ -233,13 +233,15 @@ func (c fastPathConfig) set() (restore func()) {
 	return func() { mach.DisableProofs, mach.ParanoidProofs, mach.DisableCaches = p, q, d }
 }
 
-// TestDifferentialFastPaths runs 250 seeds x {vanilla, OPEC} x the four
-// fast-path configurations, every observable compared against the
+// TestDifferentialInterpVsXlat runs 250 seeds x {vanilla, OPEC} x the
+// four fast-path configurations, every observable compared against the
 // default configuration. The paranoid configuration re-adjudicates
 // every certificate-elided access through the full protection check
 // and panics on a disagreement, so it is also the random-program
-// soundness check of runtime elision.
-func TestDifferentialFastPaths(t *testing.T) {
+// soundness check of runtime elision. The name, and its seedN subtest
+// ids, date from when the suite compared the interpreter with a second
+// execution engine; they are kept so the test ids stay stable.
+func TestDifferentialInterpVsXlat(t *testing.T) {
 	const trials = 250
 	// The random programs fit in a fraction of the Discovery board's
 	// flash; trimming it keeps the 2000 power-on buses cheap.
