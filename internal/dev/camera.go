@@ -65,6 +65,16 @@ func (c *Camera) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: FIFO reads pop
+// pixels; SR turns ready when the exposure ends.
+func (c *Camera) PureLoad(off uint32) bool { return off != DcmiFIFO }
+func (c *Camera) NextChange(now uint64) uint64 {
+	if c.Captures > 0 {
+		return after(now, c.readyAt)
+	}
+	return mach.Never
+}
+
 // Store implements the register file.
 func (c *Camera) Store(off uint32, _ int, v uint32) {
 	if off == DcmiCR && v&1 != 0 {
@@ -116,6 +126,11 @@ func (u *USBMSC) Load(off uint32, _ int) uint32 {
 	}
 	return 0
 }
+
+// PureLoad and NextChange implement mach.Pollable: every register
+// reads without side effects; STA turns ready when the write completes.
+func (u *USBMSC) PureLoad(uint32) bool         { return true }
+func (u *USBMSC) NextChange(now uint64) uint64 { return after(now, u.readyAt) }
 
 // Store implements the register file.
 func (u *USBMSC) Store(off uint32, _ int, v uint32) {

@@ -57,6 +57,16 @@ func (g *GPIO) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: IDR changes when
+// the scripted press lands.
+func (g *GPIO) PureLoad(uint32) bool { return true }
+func (g *GPIO) NextChange(now uint64) uint64 {
+	if g.hasPress {
+		return after(now, g.PressAt)
+	}
+	return mach.Never
+}
+
 // Store implements the register file.
 func (g *GPIO) Store(off uint32, _ int, v uint32) {
 	switch off {
@@ -91,6 +101,11 @@ func (r *RCC) Load(off uint32, _ int) uint32 { return r.regs[(off/4)%256] }
 // Store implements the register file.
 func (r *RCC) Store(off uint32, _ int, v uint32) { r.regs[(off/4)%256] = v }
 
+// PureLoad and NextChange implement mach.Pollable: a plain register
+// file changes only on stores.
+func (r *RCC) PureLoad(uint32) bool     { return true }
+func (r *RCC) NextChange(uint64) uint64 { return mach.Never }
+
 // Reg returns a raw register value (tests).
 func (r *RCC) Reg(off uint32) uint32 { return r.regs[(off/4)%256] }
 
@@ -117,6 +132,10 @@ func (r *Regs) Load(off uint32, _ int) uint32 { return r.regs[(off/4)%256] }
 
 // Store implements the register file.
 func (r *Regs) Store(off uint32, _ int, v uint32) { r.regs[(off/4)%256] = v }
+
+// PureLoad and NextChange implement mach.Pollable (see RCC).
+func (r *Regs) PureLoad(uint32) bool     { return true }
+func (r *Regs) NextChange(uint64) uint64 { return mach.Never }
 
 // RNG models the hardware random number generator with a deterministic
 // xorshift stream (reproducible runs).
@@ -156,6 +175,11 @@ func (r *RNG) Load(off uint32, _ int) uint32 {
 	}
 	return 0
 }
+
+// PureLoad and NextChange implement mach.Pollable: DR steps the
+// generator; SR always reads ready.
+func (r *RNG) PureLoad(off uint32) bool { return off != RngDR }
+func (r *RNG) NextChange(uint64) uint64 { return mach.Never }
 
 // Store implements the register file.
 func (r *RNG) Store(uint32, int, uint32) {}

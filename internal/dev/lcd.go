@@ -50,6 +50,11 @@ func (l *LCD) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: STA turns ready
+// when the panel refresh ends.
+func (l *LCD) PureLoad(uint32) bool         { return true }
+func (l *LCD) NextChange(now uint64) uint64 { return after(now, l.busyUntil) }
+
 // Store implements the register file.
 func (l *LCD) Store(off uint32, _ int, v uint32) {
 	switch off {
@@ -125,6 +130,11 @@ func (d *DMA2D) Load(off uint32, _ int) uint32 {
 	}
 	return 0
 }
+
+// PureLoad and NextChange implement mach.Pollable: STA turns done when
+// the transfer's latency elapses.
+func (d *DMA2D) PureLoad(uint32) bool         { return true }
+func (d *DMA2D) NextChange(now uint64) uint64 { return after(now, d.doneAt) }
 
 // Store implements the register file.
 func (d *DMA2D) Store(off uint32, _ int, v uint32) {

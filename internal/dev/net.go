@@ -133,6 +133,17 @@ func (e *EthMAC) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: RXFIFO reads
+// advance the frame cursor; RXSTA and RXLEN change when the head frame
+// arrives.
+func (e *EthMAC) PureLoad(off uint32) bool { return off != EthRXFIFO }
+func (e *EthMAC) NextChange(now uint64) uint64 {
+	if len(e.rxQueue) > 0 {
+		return after(now, e.rxReadyAt)
+	}
+	return mach.Never
+}
+
 // Store implements the register file.
 func (e *EthMAC) Store(off uint32, _ int, v uint32) {
 	switch off {

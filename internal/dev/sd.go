@@ -85,6 +85,11 @@ func (s *SDCard) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: FIFO reads drain
+// the block buffer; STA turns ready at the command's completion.
+func (s *SDCard) PureLoad(off uint32) bool     { return off != SdioFIFO }
+func (s *SDCard) NextChange(now uint64) uint64 { return after(now, s.readyAt) }
+
 // Store implements the register file.
 func (s *SDCard) Store(off uint32, _ int, v uint32) {
 	switch off {

@@ -35,6 +35,22 @@ var (
 	_ mach.Stateful = (*USBMSC)(nil)
 )
 
+// Compile-time checks that every device model publishes the register
+// purity and change-time contract the machine's wait fast-forward uses.
+var (
+	_ mach.Pollable = (*UART)(nil)
+	_ mach.Pollable = (*GPIO)(nil)
+	_ mach.Pollable = (*RCC)(nil)
+	_ mach.Pollable = (*Regs)(nil)
+	_ mach.Pollable = (*RNG)(nil)
+	_ mach.Pollable = (*SDCard)(nil)
+	_ mach.Pollable = (*LCD)(nil)
+	_ mach.Pollable = (*DMA2D)(nil)
+	_ mach.Pollable = (*EthMAC)(nil)
+	_ mach.Pollable = (*Camera)(nil)
+	_ mach.Pollable = (*USBMSC)(nil)
+)
+
 // stateWriter appends primitive values to a buffer.
 type stateWriter struct{ b []byte }
 
@@ -218,19 +234,23 @@ func (s *SDCard) SaveState() []byte {
 func (s *SDCard) LoadState(data []byte) error {
 	r := stateReader{b: data}
 	img := r.bytes()
-	s.arg = r.u32()
-	s.cmd = r.u32()
-	s.readyAt = r.u64()
+	arg, cmd, readyAt := r.u32(), r.u32(), r.u64()
 	buf := r.bytes()
-	s.bufPos = int(r.u32())
-	s.Reads = r.u64()
-	s.Writes = r.u64()
+	bufPos := int(r.u32())
+	reads, writes := r.u64(), r.u64()
 	if err := r.done("SDIO"); err != nil {
 		return err
 	}
 	if len(img) != len(s.data) || len(buf) != len(s.buf) {
 		return fmt.Errorf("dev: SDIO: state is for a different card geometry")
 	}
+	// The FIFO moves whole words: a cursor off the word grid, or past
+	// the block, would index beyond the buffer on the next access.
+	if bufPos < 0 || bufPos > BlockSize || bufPos%4 != 0 {
+		return fmt.Errorf("dev: SDIO: FIFO cursor %d is not a word offset inside the block", bufPos)
+	}
+	s.arg, s.cmd, s.readyAt, s.bufPos = arg, cmd, readyAt, bufPos
+	s.Reads, s.Writes = reads, writes
 	copy(s.data, img)
 	copy(s.buf[:], buf)
 	return nil
@@ -302,25 +322,38 @@ func (e *EthMAC) SaveState() []byte {
 
 func (e *EthMAC) LoadState(data []byte) error {
 	r := stateReader{b: data}
+	// Counts come from untrusted bytes: every element consumes at least
+	// its four-byte length prefix, so the loops end with the input, and
+	// nothing is pre-sized from a count.
 	nrx := int(r.u32())
-	rx := make([][]byte, 0, nrx)
+	var rx [][]byte
 	for i := 0; i < nrx && r.err == nil; i++ {
 		rx = append(rx, r.bytes())
 	}
-	e.rxReadyAt = r.u64()
-	e.rxPos = int(r.u32())
-	e.txLen = int(r.u32())
+	rxReadyAt := r.u64()
+	rxPos, txLen := int(r.u32()), int(r.u32())
 	txBuf := r.bytes()
 	ntx := int(r.u32())
-	tx := make([][]byte, 0, ntx)
+	var tx [][]byte
 	for i := 0; i < ntx && r.err == nil; i++ {
 		tx = append(tx, r.bytes())
 	}
 	if err := r.done("ETH"); err != nil {
 		return err
 	}
-	e.rxQueue = rx
-	e.txBuf = txBuf
+	// Hold restored state to the limits the register file enforces: a
+	// transmit length past the FIFO would size a host allocation at
+	// EthTXGO, and a frame the wire could not carry must not be queued.
+	if txLen < 0 || txLen > EthMaxFrame {
+		return fmt.Errorf("dev: ETH: transmit length %d exceeds the %d-byte FIFO", txLen, EthMaxFrame)
+	}
+	for _, f := range rx {
+		if len(f) == 0 || len(f) > EthMaxFrame {
+			return fmt.Errorf("dev: ETH: queued frame of %d bytes", len(f))
+		}
+	}
+	e.rxQueue, e.rxReadyAt, e.rxPos = rx, rxReadyAt, rxPos
+	e.txLen, e.txBuf = txLen, txBuf
 	e.TxFrames = tx
 	return nil
 }
@@ -369,7 +402,7 @@ func (u *USBMSC) LoadState(data []byte) error {
 	buf := r.bytes()
 	readyAt := r.u64()
 	n := int(r.u32())
-	sectors := make(map[uint32][]byte, n)
+	sectors := make(map[uint32][]byte) // not pre-sized: n is untrusted (see EthMAC)
 	for i := 0; i < n && r.err == nil; i++ {
 		k := r.u32()
 		sectors[k] = r.bytes()

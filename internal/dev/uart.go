@@ -7,10 +7,15 @@
 // Devices are passive register files attached to the simulated bus.
 // Time-dependent behaviour (a byte "arriving" on the UART, a frame
 // landing in the MAC FIFO) is scheduled against the shared cycle clock:
-// firmware polls a status register in a loop, burning cycles exactly
-// like polling firmware on real silicon, until the scheduled readiness
-// cycle passes. This is what makes the I/O-bound workloads hide the
-// monitor's switch cost, reproducing the paper's overhead shape.
+// firmware polls a status register in a loop, burning simulated cycles
+// exactly like polling firmware on real silicon, until the scheduled
+// readiness cycle passes. This is what makes the I/O-bound workloads
+// hide the monitor's switch cost, reproducing the paper's overhead
+// shape. The waits still cost simulated cycles; the host no longer pays
+// for them one iteration at a time. Every model implements
+// mach.Pollable — which registers read without side effects, and when
+// the next scheduled change lands — so the interpreter can fast-forward
+// over identical poll iterations exactly.
 package dev
 
 import "opec/internal/mach"
@@ -91,6 +96,16 @@ func (u *UART) Load(off uint32, _ int) uint32 {
 	return 0
 }
 
+// PureLoad and NextChange implement mach.Pollable: reading DR pops
+// the receive stream; SR's RXNE rises when the next byte arrives.
+func (u *UART) PureLoad(off uint32) bool { return off != UartDR }
+func (u *UART) NextChange(now uint64) uint64 {
+	if len(u.rx) > 0 {
+		return after(now, u.rxReadyAt)
+	}
+	return mach.Never
+}
+
 // Store implements the register file.
 func (u *UART) Store(off uint32, _ int, v uint32) {
 	switch off {
@@ -101,6 +116,15 @@ func (u *UART) Store(off uint32, _ int, v uint32) {
 	case UartCR1:
 		u.cr1 = v
 	}
+}
+
+// after is the NextChange answer of a register that flips once the
+// clock reaches at: at when that is still ahead, never otherwise.
+func after(now, at uint64) uint64 {
+	if now < at {
+		return at
+	}
+	return mach.Never
 }
 
 // TXString returns everything the firmware transmitted.

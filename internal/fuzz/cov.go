@@ -79,6 +79,18 @@ func (s *CovSink) HandleEvent(e trace.Event) {
 	}
 }
 
+// HandleRepeat implements trace.RepeatHandler. The repeated window
+// follows an identical one, so prev is periodic over it and its edges
+// are already touched; only hit counts move, and they saturate at 255,
+// so min(k, 255) replays reach the state k replays would.
+func (s *CovSink) HandleRepeat(iter []trace.Event, k, _ uint64) {
+	for j := uint64(0); j < min(k, 255); j++ {
+		for _, e := range iter {
+			s.HandleEvent(e)
+		}
+	}
+}
+
 // bucket maps a hit count to its log-style bucket (AFL's 1, 2, 3, 4-7,
 // 8-15, 16-31, 32-127, 128+).
 func bucket(n uint8) uint32 {

@@ -155,6 +155,14 @@ type Bus struct {
 	// rawWatch, when non-nil, observes raw (check-bypassing) writes —
 	// the watch seam's hardware-level half (watch.go).
 	rawWatch func(addr uint32, size int, val uint32)
+
+	// effects counts side effects that can make one loop iteration
+	// differ from the next (ff.go): every store, impure device load and
+	// PPB access, plus the machine's exception and injection
+	// bookkeeping. It is monotone and never restored by snapshots.
+	// noFF pins fast-forward off, latched from DisableCaches.
+	effects uint64
+	noFF    bool
 }
 
 // NewBus creates a bus with the given Flash and SRAM sizes.
@@ -168,6 +176,7 @@ func NewBus(flashSize, sramSize int, clk *Clock) *Bus {
 	b.MPU.NoCache = DisableCaches
 	b.MPU.Clock = clk
 	b.noDevCache = DisableCaches
+	b.noFF = DisableCaches
 	b.Prot = b.MPU
 	return b
 }
@@ -293,12 +302,13 @@ func (b *Bus) Load(addr uint32, size int, privileged bool) (uint32, *Fault) {
 	case targetSRAM:
 		return b.sram.readLE(off, size), nil
 	default:
-		return d.Load(off, size), nil
+		return b.devLoad(d, off, size), nil
 	}
 }
 
 // Store performs a checked store.
 func (b *Bus) Store(addr uint32, size int, v uint32, privileged bool) *Fault {
+	b.effects++
 	k, off, d := b.resolve(addr, size)
 	switch k {
 	case targetPPB:
@@ -336,13 +346,14 @@ func (b *Bus) RawLoad(addr uint32, size int) (uint32, *Fault) {
 	case targetPPB:
 		return b.ppbLoad(addr, size), nil
 	case targetDevice:
-		return d.Load(off, size), nil
+		return b.devLoad(d, off, size), nil
 	}
 	return 0, &Fault{Kind: FaultBus, Addr: addr, Size: size, Privileged: true}
 }
 
 // RawStore bypasses permission checks.
 func (b *Bus) RawStore(addr uint32, size int, v uint32) *Fault {
+	b.effects++
 	if b.rawWatch != nil {
 		b.rawWatch(addr, size, v)
 	}
@@ -364,6 +375,7 @@ func (b *Bus) RawStore(addr uint32, size int, v uint32) *Fault {
 }
 
 func (b *Bus) ppbLoad(addr uint32, size int) uint32 {
+	b.effects++ // DWT CYCCNT changes every cycle
 	switch addr {
 	case DWTCyccnt:
 		return uint32(b.Clock.Now())
@@ -377,6 +389,7 @@ func (b *Bus) ppbLoad(addr uint32, size int) uint32 {
 }
 
 func (b *Bus) ppbStore(addr uint32, size int, v uint32) {
+	b.effects++
 	switch addr {
 	case DWTCtrl:
 		b.dwtEnabled = v&1 != 0
@@ -414,6 +427,7 @@ func writeLE(b []byte, size int, v uint32) {
 // also preserves the historical forward-byte replication semantics for
 // overlapping ranges with dst inside [src, src+n).
 func (b *Bus) CopyMem(dst, src uint32, n int) *Fault {
+	b.effects++
 	if n > 1 {
 		// The bulk path additionally requires both ranges to sit inside
 		// one page each (view returns nil on a straddle); the byte loop

@@ -57,9 +57,6 @@ type Handlers struct {
 	OnCall func(caller, callee *ir.Function) error
 	// OnReturn is invoked after the call returns.
 	OnReturn func(caller, callee *ir.Function) error
-	// OnFuncEnter observes every function entry (the tracing hook that
-	// substitutes for the paper's GDB single-stepping).
-	OnFuncEnter func(fn *ir.Function)
 	// SvcFault is consulted, privileged, when a gated operation body
 	// fails. It decides between propagating, retrying the body
 	// (RestartOperation) and returning a sentinel (Quarantine). Halts
@@ -143,6 +140,10 @@ type Machine struct {
 	proofElided  uint64 // accesses satisfied by a static certificate
 	proofChecked uint64 // accesses dynamically adjudicated
 	depth        int
+
+	// Fast-forward tallies (ff.go): skips taken, instructions and
+	// cycles skipped, identical windows found but not skipped.
+	ffSkips, ffSkippedInstrs, ffSkippedCycles, ffDeclined uint64
 }
 
 // funcMeta is the per-function execution metadata computed once in
@@ -322,6 +323,10 @@ func (m *Machine) Counters() []trace.Counter {
 		{Name: "mach.frame_reuse", Value: m.frameReuse},
 		{Name: "mach.proofs.elided", Value: m.proofElided},
 		{Name: "mach.proofs.checked", Value: m.proofChecked},
+		{Name: "mach.ff.skips", Value: m.ffSkips},
+		{Name: "mach.ff.skipped_instrs", Value: m.ffSkippedInstrs},
+		{Name: "mach.ff.skipped_cycles", Value: m.ffSkippedCycles},
+		{Name: "mach.ff.declined", Value: m.ffDeclined},
 	}
 	if m.Bus != nil {
 		cs = append(cs, m.Bus.Counters()...)
@@ -361,6 +366,7 @@ type frame struct {
 	nargs   int
 	argBase uint32   // address of spilled args
 	argbuf  []uint32 // evalArgs scratch; valid until this frame's next call
+	ff      ffState  // loop-head tracker of the running activation (ff.go)
 }
 
 // frameAt returns the pooled frame for one-based call depth d.
@@ -379,9 +385,6 @@ func (m *Machine) call(fn *ir.Function, args []uint32) (uint32, error) {
 	defer func() { m.depth-- }()
 
 	m.Clock.Advance(CostCall)
-	if m.Handlers.OnFuncEnter != nil {
-		m.Handlers.OnFuncEnter(fn)
-	}
 
 	fm := m.metaFor(fn)
 	fr := m.frameAt(m.depth)
@@ -428,6 +431,7 @@ func (m *Machine) call(fn *ir.Function, args []uint32) (uint32, error) {
 	// Entry-count injection trigger: fire with the frame established,
 	// so the hook's perturbation executes in this function's context.
 	if inj := m.inj; inj != nil && inj.Func == fn {
+		m.Bus.effects++
 		if inj.N--; inj.N <= 0 {
 			m.inj = nil
 			if err := inj.Fire(m); err != nil {
@@ -451,6 +455,8 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 	// fm on every load/store costs a dependent pointer chase in the
 	// hottest loop the simulator has.
 	certs, allocaOff := fm.certs, fm.allocaOff
+	fr.ff.head = nil
+	ff := !m.Bus.noFF
 	for {
 		if err := m.tick(); err != nil {
 			return 0, err
@@ -465,18 +471,19 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 		}
 		m.Clock.Advance(CostInstr) // terminator
 		m.InstrCount++
+		var next *ir.Block
 		switch blk.Term.Op {
 		case ir.TermBr:
-			blk = blk.Term.Succs[0]
+			next = blk.Term.Succs[0]
 		case ir.TermCondBr:
 			c, err := m.eval(fr, blk.Term.Cond)
 			if err != nil {
 				return 0, m.locate(fr, fm, err)
 			}
 			if c != 0 {
-				blk = blk.Term.Succs[0]
+				next = blk.Term.Succs[0]
 			} else {
-				blk = blk.Term.Succs[1]
+				next = blk.Term.Succs[1]
 			}
 		case ir.TermRet:
 			if blk.Term.Val == nil {
@@ -490,6 +497,10 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 		default:
 			return 0, fmt.Errorf("mach: unterminated block %s in %s", blk.Name, fr.fn.Name)
 		}
+		if ff && next.Index() <= blk.Index() && !fr.ff.rearm(next, m.Bus) {
+			m.ffVisit(fr)
+		}
+		blk = next
 	}
 }
 
@@ -504,6 +515,7 @@ func (m *Machine) tick() error {
 	}
 	for _, b := range m.irqs {
 		if b.src.IRQPending() {
+			m.Bus.effects++
 			b.src.IRQAck()
 			m.inIRQ = true
 			wasPriv := m.Privileged
@@ -549,6 +561,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 	// Instruction-count injection trigger (cycle-point perturbations
 	// that are not tied to a function entry).
 	if inj := m.inj; inj != nil && inj.Func == nil && m.InstrCount >= inj.At {
+		m.Bus.effects++
 		m.inj = nil
 		if err := inj.Fire(m); err != nil {
 			return err
@@ -644,6 +657,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 			// pointer), which the monitor's recovery policies can absorb
 			// exactly like a memory fault.
 			f := &Fault{Kind: FaultUsage, Addr: target, Privileged: m.Privileged}
+			m.Bus.effects++
 			if m.Trace != nil {
 				m.emitFault(f)
 			}
@@ -671,6 +685,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 		fr.regs[in.ID()] = ret
 
 	case ir.OpHalt:
+		m.Bus.effects++
 		return errHalt
 
 	default:
@@ -716,6 +731,7 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 // re-enter it (RestartOperation) or complete the SVC with a sentinel
 // (Quarantine) instead of unwinding.
 func (m *Machine) svcCall(entry *ir.Function, args []uint32) (uint32, error) {
+	m.Bus.effects++
 	m.SwitchCount++
 	m.Clock.Advance(CostExcEntry)
 	if m.Trace != nil {
@@ -869,6 +885,7 @@ func (m *Machine) storeChecked(addr uint32, size int, v uint32) error {
 // handleFault routes a fault to the matching handler; the handler runs
 // privileged (hardware exception entry).
 func (m *Machine) handleFault(f *Fault) (uint32, error) {
+	m.Bus.effects++
 	if m.Trace != nil {
 		m.emitFault(f)
 	}

@@ -71,6 +71,8 @@ type Snapshot struct {
 	instrCount, switchCount, frameReuse uint64
 	proofElided, proofChecked           uint64
 	devCacheHits                        uint64
+	ffSkips, ffSkippedInstrs            uint64
+	ffSkippedCycles, ffDeclined         uint64
 	tlbHits, tlbMisses, tlbInvals       uint64
 	tlbGen                              uint64
 
@@ -93,9 +95,9 @@ type Snapshot struct {
 
 // ID is a content hash of the captured architected state (memory,
 // CPU, protection unit, certificates, devices — not the transparent
-// cache counters). Two snapshots of identical machine states hash
-// identically, which is what makes `snapshot id + spec` a complete
-// replay coordinate.
+// cache and fast-forward counters). Two snapshots of identical machine
+// states hash identically, which is what makes `snapshot id + spec` a
+// complete replay coordinate.
 func (s *Snapshot) ID() string { return s.id }
 
 // Snapshot checkpoints the machine. The machine must be quiescent — at
@@ -135,6 +137,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		mpuReconfigs: b.MPU.reconfigs,
 		certs:        make([][]byte, len(m.metaByIdx)),
 	}
+	s.ffSkips, s.ffSkippedInstrs = m.ffSkips, m.ffSkippedInstrs
+	s.ffSkippedCycles, s.ffDeclined = m.ffSkippedCycles, m.ffDeclined
 	for i := range m.metaByIdx {
 		s.certs[i] = m.metaByIdx[i].certs
 	}
@@ -227,6 +231,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 
 	b.flash.restorePages(s.flashPages)
 	b.sram.restorePages(s.sramPages)
+	b.effects++ // memory and devices rewound under any armed loop head
 	b.dwtEnabled = s.dwtEnabled
 	b.Clock.cycles = s.cycles
 
@@ -272,6 +277,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 	// Transparent cache counters roll back too so fork-trial counter
 	// readings are absolute, not offsets from the previous trial.
 	b.devCacheHits = s.devCacheHits
+	m.ffSkips = s.ffSkips
+	m.ffSkippedInstrs = s.ffSkippedInstrs
+	m.ffSkippedCycles = s.ffSkippedCycles
+	m.ffDeclined = s.ffDeclined
 	b.MPU.tlbHits = s.tlbHits
 	b.MPU.tlbMisses = s.tlbMisses
 	b.MPU.tlbInvals = s.tlbInvals
@@ -296,6 +305,7 @@ func (b *Bus) Fork() *Bus {
 		sram:       b.sram.fork(),
 		devices:    b.devices,
 		noDevCache: b.noDevCache,
+		noFF:       b.noFF,
 		dwtEnabled: b.dwtEnabled,
 	}
 	*nb.MPU = *b.MPU

@@ -217,3 +217,30 @@ func TestSnapshotRestoreExact(t *testing.T) {
 			r1, r2, c1, m.Clock.Now(), i1, m.InstrCount)
 	}
 }
+
+// TestSnapshotFastForwardCounters checks that the fast-forward tallies
+// roll back with a restore, like the cache counters, yet stay out of
+// the snapshot ID: they count host work, not machine state.
+func TestSnapshotFastForwardCounters(t *testing.T) {
+	m := testMachine(t, sumModule())
+	m.ffSkips, m.ffSkippedInstrs, m.ffSkippedCycles, m.ffDeclined = 1, 2, 3, 4
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ffSkips, m.ffSkippedInstrs, m.ffSkippedCycles, m.ffDeclined = 10, 20, 30, 40
+	again, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ID() != again.ID() {
+		t.Errorf("snapshot ID depends on fast-forward tallies: %s vs %s", snap.ID(), again.ID())
+	}
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if m.ffSkips != 1 || m.ffSkippedInstrs != 2 || m.ffSkippedCycles != 3 || m.ffDeclined != 4 {
+		t.Errorf("restore left tallies at %d/%d/%d/%d, want 1/2/3/4",
+			m.ffSkips, m.ffSkippedInstrs, m.ffSkippedCycles, m.ffDeclined)
+	}
+}

@@ -145,6 +145,16 @@ func (f *taskFolder) HandleEvent(e trace.Event) {
 	}
 }
 
+// HandleRepeat implements trace.RepeatHandler. A repeated window starts
+// and ends at the same call depth, so its calls and returns balance and
+// leave the task stack as they found it; recording is set insertion.
+// One replay therefore reaches the state of k.
+func (f *taskFolder) HandleRepeat(iter []trace.Event, _, _ uint64) {
+	for _, e := range iter {
+		f.HandleEvent(e)
+	}
+}
+
 // TraceTasks runs the instance under the vanilla build with the event
 // trace attached and attributes every executed function to the
 // innermost active task by folding the call/return event stream.

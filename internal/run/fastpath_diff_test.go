@@ -154,6 +154,7 @@ type runObs struct {
 func fastPathCounter(name string) bool {
 	return strings.HasPrefix(name, "mach.proofs.") ||
 		strings.HasPrefix(name, "mach.tlb.") ||
+		strings.HasPrefix(name, "mach.ff.") ||
 		name == "mach.bus.dev_cache_hits"
 }
 

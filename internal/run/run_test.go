@@ -171,3 +171,32 @@ func TestOPECWithReturnsPartialResultAndPolicy(t *testing.T) {
 		t.Error("partial result has empty stats")
 	}
 }
+
+// TestFastForwardFiresOnIOBoundApps pins where the wait fast-forward
+// pays: the OPEC run of every I/O-bound workload must skip device-wait
+// iterations. A model that loses its mach.Pollable contract, or a new
+// effect inside a HAL poll loop, would silently fall back to stepwise
+// spinning; this catches it.
+func TestFastForwardFiresOnIOBoundApps(t *testing.T) {
+	if mach.DisableCaches {
+		t.Skip("fast-forward disabled by OPEC_MACH_NOCACHE")
+	}
+	for _, app := range apps.All() {
+		if app.Name == "CoreMark" { // compute-bound: nothing to skip
+			continue
+		}
+		res, err := run.OPEC(app.New())
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		var skips uint64
+		for _, c := range res.Machine.Counters() {
+			if c.Name == "mach.ff.skips" {
+				skips = c.Value
+			}
+		}
+		if skips == 0 {
+			t.Errorf("%s: no device wait was fast-forwarded", app.Name)
+		}
+	}
+}

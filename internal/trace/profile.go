@@ -130,6 +130,25 @@ func (p *Profiler) HandleEvent(e Event) {
 	}
 }
 
+// HandleRepeat implements RepeatHandler. Call, return and branch
+// events carry no attribution, so a window of only those is absorbed
+// without work; any other window is replayed event by event.
+func (p *Profiler) HandleRepeat(iter []Event, k, delta uint64) {
+	for _, e := range iter {
+		switch e.Kind {
+		case EvCall, EvCallRet, EvBranch:
+			continue
+		}
+		for j := uint64(1); j <= k; j++ {
+			for _, e := range iter {
+				e.Cycle += j * delta
+				p.HandleEvent(e)
+			}
+		}
+		return
+	}
+}
+
 // Profile is the folded result.
 type Profile struct {
 	Ops        []OpProfile // first-activation order

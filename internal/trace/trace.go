@@ -153,6 +153,18 @@ type Handler interface {
 	HandleEvent(e Event)
 }
 
+// RepeatHandler is a Handler that can absorb k further repetitions of
+// an event window without seeing each event — the sink half of the
+// machine's exact fast-forward (Buffer.Repeat). iter holds the window's
+// events as the sink already received them (never empty; k >= 1);
+// repetition j (1-based) is iter with every Cycle shifted by j*delta.
+// The handler must end in the state k per-event replays would leave.
+// iter is only valid for the duration of the call.
+type RepeatHandler interface {
+	Handler
+	HandleRepeat(iter []Event, k, delta uint64)
+}
+
 // Buffer is the event bus: a fixed-capacity ring with drop accounting,
 // an interned name table and optional streaming handlers. A nil
 // *Buffer is a valid, disabled bus: Emit on nil is a no-op, which is
@@ -163,6 +175,11 @@ type Buffer struct {
 	names []string
 	ids   map[string]uint32
 	sinks []Handler
+	// plain counts attached sinks that are not RepeatHandlers; any such
+	// sink makes Repeat decline.
+	plain int
+	// rep is Repeat's scratch copy of the repeated window.
+	rep []Event
 	// importedDrops carries the drop count of a trace reconstructed by
 	// ImportJSONL, whose ring only ever held the surviving events.
 	importedDrops uint64
@@ -196,7 +213,12 @@ func NewBuffer(capacity int) *Buffer {
 }
 
 // Attach registers a streaming handler.
-func (b *Buffer) Attach(h Handler) { b.sinks = append(b.sinks, h) }
+func (b *Buffer) Attach(h Handler) {
+	if _, ok := h.(RepeatHandler); !ok {
+		b.plain++
+	}
+	b.sinks = append(b.sinks, h)
+}
 
 // Intern returns the stable id for name, assigning one on first use.
 func (b *Buffer) Intern(name string) uint32 {
@@ -236,6 +258,51 @@ func (b *Buffer) Emit(e Event) {
 	}
 	b.ring[b.head%uint64(len(b.ring))] = e
 	b.head++
+}
+
+// Repeat records k further repetitions of the last n emitted events,
+// repetition j shifted by j*delta cycles, as if each had been emitted in
+// turn: Emitted, Dropped and the stream's last cycle advance exactly,
+// the ring ends holding the same events, and every sink receives the
+// window once through HandleRepeat. Only the last min(capacity, k*n)
+// ring slots are written. An empty window repeats trivially, whatever
+// the sinks. Otherwise Repeat declines, changing nothing, when the
+// window is not fully held by the ring, a sink is not a RepeatHandler,
+// or the repetitions would not keep the stream monotonic.
+func (b *Buffer) Repeat(n, k, delta uint64) bool {
+	if n == 0 || k == 0 {
+		return true
+	}
+	size := uint64(len(b.ring))
+	if b.plain > 0 || n > size || n > b.head {
+		return false
+	}
+	// Copy the window out first: the ring writes below may overwrite its
+	// slots. The scratch slice is reused across calls.
+	start := (b.head - n) % size
+	b.rep = append(b.rep[:0], b.ring[start:min(start+n, size)]...)
+	b.rep = append(b.rep, b.ring[:n-uint64(len(b.rep))]...)
+	for i := 1; i < len(b.rep); i++ {
+		if b.rep[i].Cycle < b.rep[i-1].Cycle {
+			return false
+		}
+	}
+	if b.rep[n-1].Cycle != b.lastCycle || b.rep[0].Cycle+delta < b.lastCycle {
+		return false
+	}
+	iter := b.rep[:n]
+	for _, h := range b.sinks {
+		h.(RepeatHandler).HandleRepeat(iter, k, delta)
+	}
+	total := k * n
+	for i := total - min(total, size); i < total; i++ {
+		e := iter[i%n]
+		e.Cycle += (i/n + 1) * delta
+		b.ring[(b.head+i)%size] = e
+	}
+	b.head += total
+	b.lastCycle = iter[n-1].Cycle + k*delta
+	return true
 }
 
 // CycleRegressions counts events whose cycle stamp went backward
