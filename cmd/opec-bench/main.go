@@ -4,9 +4,10 @@
 // All experiments of one invocation share a single harness, so builds
 // and runs memoized by one table are reused by the next (Table 2 finds
 // Figure 9's vanilla and OPEC runs already cached, Figure 11 reuses
-// Figure 10's ACES builds). Per-app work fans out over -parallel
-// workers; results are reassembled in the fixed application order, so
-// the output is byte-identical at every parallelism level.
+// Figure 10's ACES builds). Per-app work and the trials of injection
+// and fuzzing campaigns fan out over -parallel workers; results are
+// reassembled in the fixed application and planning order, so the
+// output is byte-identical at every parallelism level.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "table1 | figure9 | table2 | figure10 | figure11 | table3 | casestudy | profile | inject | fuzz | bench | all")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	parallel := flag.Int("parallel", 0, "max concurrent per-app jobs (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "worker count for per-app jobs and campaign trials (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "fault-injection campaign seed (-exp inject)")
 	policy := flag.String("policy", "abort", "recovery policy for -exp inject: abort | restart | quarantine")
 	assertContained := flag.Bool("assert-contained", false, "with -exp inject/fuzz: exit non-zero unless every OPEC trial is contained")

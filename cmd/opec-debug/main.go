@@ -93,11 +93,7 @@ func main() {
 		fail(err)
 		cfg.Spec = &spec
 	case *replaySpec != "":
-		id, specText, ok := strings.Cut(*replaySpec, "@")
-		if !ok || id == "" || specText == "" {
-			fail(fmt.Errorf("-replay wants '<snapshot-id>@<spec>', got %q", *replaySpec))
-		}
-		spec, err := opec.ParseInjectSpec(specText)
+		id, spec, err := opec.ParseReplayCoord(*replaySpec)
 		fail(err)
 		cfg.Spec = &spec
 		cfg.WantSnapID = id

@@ -285,11 +285,7 @@ func replayTrial(app *opec.App, mode, specText, policy string, maxCycles uint64)
 // single trial. The '@' separator keeps the coordinate unambiguous —
 // specs use ':' internally.
 func replayFromSnapshot(app *opec.App, mode, coord, policy string, maxCycles uint64) {
-	id, specText, ok := strings.Cut(coord, "@")
-	if !ok || id == "" || specText == "" {
-		fail(fmt.Errorf("-replay wants '<snapshot-id>@<spec>', got %q", coord))
-	}
-	spec, err := opec.ParseInjectSpec(specText)
+	id, spec, err := opec.ParseReplayCoord(coord)
 	fail(err)
 	pol, err := opec.ParsePolicy(policy)
 	fail(err)

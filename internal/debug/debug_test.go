@@ -162,11 +162,7 @@ func TestLastWriterGolden(t *testing.T) {
 func TestReplayCoordinateRoundTrip(t *testing.T) {
 	s := golden(t)
 	coord := s.Coordinate()
-	id, specText, ok := strings.Cut(coord, "@")
-	if !ok {
-		t.Fatalf("bad coordinate %q", coord)
-	}
-	spec, err := inject.ParseSpec(specText)
+	id, spec, err := inject.ParseCoord(coord)
 	if err != nil {
 		t.Fatal(err)
 	}

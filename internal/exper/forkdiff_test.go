@@ -9,8 +9,10 @@ import (
 // The fork engine's acceptance invariant: a seeded campaign forked
 // from per-row snapshots renders a byte-identical verdict table — and
 // identical per-trial verdicts, error strings, cycle counts and
-// recovery counters — against the power-on boot engine, at parallelism
-// 1 and at full parallelism.
+// recovery counters — against the power-on boot engine, and the same
+// snapshot ids, at every worker count: 1 (rows in order, no joins), 2
+// and 3 (idle workers join the long rows), and 16 (more workers than
+// the 12 rows, so workers join rows from the start).
 func TestInjectForkMatchesBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign replays every workload in -short mode")
@@ -23,7 +25,8 @@ func TestInjectForkMatchesBoot(t *testing.T) {
 	}
 	bootTable := RenderInject(boot)
 
-	for _, parallel := range []int{1, 0} {
+	var snapIDs []string
+	for _, parallel := range []int{1, 2, 3, 16} {
 		fork, err := NewHarness(parallel).InjectWith(Quick, cfg, pol, EngineFork)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -39,6 +42,12 @@ func TestInjectForkMatchesBoot(t *testing.T) {
 			fr, br := fork[i], boot[i]
 			if fr.SnapID == "" {
 				t.Errorf("%s/%s: fork row has no snapshot id", fr.App, fr.Scheme)
+			}
+			if parallel == 1 {
+				snapIDs = append(snapIDs, fr.SnapID)
+			} else if fr.SnapID != snapIDs[i] {
+				t.Errorf("parallel=%d: %s/%s: snapshot id %s, %s at parallel 1",
+					parallel, fr.App, fr.Scheme, fr.SnapID, snapIDs[i])
 			}
 			if len(fr.Outcomes) != len(br.Outcomes) {
 				t.Fatalf("%s/%s: %d fork trials vs %d boot trials", fr.App, fr.Scheme, len(fr.Outcomes), len(br.Outcomes))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 
 	"opec/internal/aces"
 	"opec/internal/apps"
@@ -247,39 +248,159 @@ func (h *Harness) runInjectBoot(plans []*rowPlan, pol monitor.Policy) error {
 	})
 }
 
-// runInjectFork executes each row on its own forge: boot once,
-// checkpoint, fork every trial from the snapshot. Parallelism moves up
-// a level — across rows rather than trials — because a forge's
-// machine is inherently serial.
+// runInjectFork executes the campaign on forges: boot a row's
+// checkpoint, fork every trial from the snapshot. A forge's machine is
+// serial, so the unit of scheduling is the trial and the unit of
+// isolation is the forge: each row is a queue of trials behind one
+// shared cursor, a free worker starts the next unstarted row in
+// planning order, and once every row has started an idle worker joins
+// the unfinished row with the most trials not yet taken, booting a
+// forge of its own for it. One long row (CoreMark under OPEC is over
+// half the campaign's CPU) therefore spreads over every worker instead
+// of ending the pass alone. Trials are pure functions of (checkpoint,
+// spec) and land in index-addressed slots, so rows, outcomes and the
+// rendered table are identical at every parallelism and against
+// EngineBoot. Every trial runs even when one fails; the returned error
+// is the lowest in planning order (row, then trial).
 func (h *Harness) runInjectFork(plans []*rowPlan, pol monitor.Policy) error {
-	return h.forEach(len(plans), func(i int) error {
-		p := plans[i]
-		var forge *inject.Forge
-		var err error
-		if p.aces {
-			forge, err = inject.NewACESForge(p.app, aces.FilenameNoOpt)
-		} else {
-			forge, err = inject.NewForge(p.app)
-		}
-		if err != nil {
-			return fmt.Errorf("inject: %s: %w", p.app.Name, err)
-		}
-		p.row.SnapID = forge.SnapshotID()
+	s := &forkSched{rows: make([]*forkRow, len(plans))}
+	for i, p := range plans {
 		p.row.Outcomes = make([]inject.Outcome, len(p.specs))
-		for k, sp := range p.specs {
-			var out inject.Outcome
-			if p.aces {
-				out, err = forge.Run(sp, monitor.Policy{}, p.budget)
-			} else {
-				out, err = forge.Run(sp, pol, p.budget)
-			}
-			if err != nil {
-				return fmt.Errorf("inject: %s trial %s: %w", p.app.Name, sp, err)
-			}
-			p.row.Outcomes[k] = out
+		s.rows[i] = &forkRow{plan: p, errs: make([]error, len(p.specs))}
+	}
+	// Workers record every failure in s, so forEach itself sees none.
+	_ = h.forEach(h.parallel, func(int) error {
+		for r, join := s.claim(); r != nil; r, join = s.claim() {
+			s.work(r, join, pol)
 		}
 		return nil
 	})
+	return s.err()
+}
+
+// forkRow is one campaign row's trial queue on the fork engine.
+type forkRow struct {
+	plan *rowPlan
+	// next is the cursor: trials [0, next) have been handed out.
+	next int
+	// forgeErr is the row's first forge boot failure. A failed first
+	// forge ends the row (its trials never run); after any failure no
+	// further worker joins the row.
+	forgeErr error
+	// joinIDs are the snapshot IDs of the joiners' forges, checked
+	// against the first forge's once all trials have run.
+	joinIDs []string
+	// errs holds per-trial failures, index-addressed like the row's
+	// outcomes: each slot is written only by the worker that took its
+	// trial, and read after every worker has returned.
+	errs []error
+}
+
+// forkSched hands out rows and trials to the fork engine's workers. mu
+// guards started, each row's next, forgeErr and joinIDs, and the rows'
+// SnapID.
+type forkSched struct {
+	mu      sync.Mutex
+	rows    []*forkRow
+	started int // rows[:started] have a worker
+}
+
+// claim returns the row a free worker should boot a forge for: the
+// next unstarted row in planning order, else (join) the unfinished row
+// with the most trials not yet taken, the lower index on a tie. It
+// returns nil when no trial is left to take.
+func (s *forkSched) claim() (r *forkRow, join bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started < len(s.rows) {
+		s.started++
+		return s.rows[s.started-1], false
+	}
+	most := 0
+	for _, c := range s.rows {
+		if left := len(c.plan.specs) - c.next; left > most && c.forgeErr == nil {
+			r, most = c, left
+		}
+	}
+	return r, true
+}
+
+// take hands out r's next trial index, or -1 once all are taken.
+func (s *forkSched) take(r *forkRow) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.next == len(r.plan.specs) {
+		return -1
+	}
+	r.next++
+	return r.next - 1
+}
+
+// work boots a forge for r, then runs r's trials on it until the
+// row's queue is empty.
+func (s *forkSched) work(r *forkRow, join bool, pol monitor.Policy) {
+	p := r.plan
+	var forge *inject.Forge
+	var err error
+	if p.aces {
+		forge, err = inject.NewACESForge(p.app, aces.FilenameNoOpt)
+		pol = monitor.Policy{}
+	} else {
+		forge, err = inject.NewForge(p.app)
+	}
+	if err != nil {
+		err = fmt.Errorf("inject: %s: %w", p.app.Name, err)
+	}
+	s.mu.Lock()
+	switch {
+	case err != nil:
+		if r.forgeErr == nil {
+			r.forgeErr = err
+		}
+		if !join {
+			r.next = len(p.specs)
+		}
+	case join:
+		r.joinIDs = append(r.joinIDs, forge.SnapshotID())
+	default:
+		p.row.SnapID = forge.SnapshotID()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return
+	}
+	for k := s.take(r); k >= 0; k = s.take(r) {
+		sp := p.specs[k]
+		out, err := forge.Run(sp, pol, p.budget)
+		if err != nil {
+			r.errs[k] = fmt.Errorf("inject: %s trial %s: %w", p.app.Name, sp, err)
+			continue
+		}
+		p.row.Outcomes[k] = out
+	}
+}
+
+// err returns the campaign's failure lowest in planning order: a row's
+// own forge failures, then its trials in order. Every forge of a row
+// must have booted to the same checkpoint as its first.
+func (s *forkSched) err() error {
+	for _, r := range s.rows {
+		if r.forgeErr != nil {
+			return r.forgeErr
+		}
+		for _, id := range r.joinIDs {
+			if id != r.plan.row.SnapID {
+				return fmt.Errorf("inject: %s/%s: a joining worker booted to snapshot %s, the row's first forge to %s",
+					r.plan.app.Name, r.plan.row.Scheme, id, r.plan.row.SnapID)
+			}
+		}
+		for _, err := range r.errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // subSeed derives a workload's campaign seed, decoupling its trial

@@ -58,3 +58,40 @@ func FuzzSpecCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseCoord drives the replay-coordinate parser with arbitrary
+// text: nothing may panic, and an accepted coordinate must round-trip
+// through snapID + "@" + spec.String() to the same id and Spec — the
+// form the debugger's coord command and the fuzz summary print.
+func FuzzParseCoord(f *testing.F) {
+	seeds := []string{
+		"26a2a02199ee8ebb@store:Lock_Task:1:KEY:0:-1:0xee",
+		"26a2a02199ee8ebb@frame:main:1:ETH:0:0:0x4:0x03020100",
+		"@store:f:1:g:0:0:0",
+		"26a2a02199ee8ebb@",
+		"26a2a02199ee8ebb",
+		"a@b@store:f:1:g:0:0:0",
+		"id@store:f@x:1:g:0:0:0",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		id, spec, err := ParseCoord(text)
+		if err != nil {
+			return // rejected input: only the no-panic property applies
+		}
+		if id == "" {
+			t.Fatalf("%q: accepted with an empty snapshot id", text)
+		}
+		coord := id + "@" + spec.String()
+		id2, spec2, err := ParseCoord(coord)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", coord, text, err)
+		}
+		if id2 != id || !reflect.DeepEqual(spec2, spec) {
+			t.Fatalf("coordinate not lossless: %q -> (%q, %#v) -> %q -> (%q, %#v)",
+				text, id, spec, coord, id2, spec2)
+		}
+	})
+}

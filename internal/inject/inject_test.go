@@ -12,6 +12,26 @@ import (
 	"opec/internal/run"
 )
 
+// ParseCoord accepts '<snapshot-id>@<spec>', splitting at the first
+// '@', and rejects a missing '@', an empty id or an empty spec with the
+// -replay usage text.
+func TestParseCoord(t *testing.T) {
+	id, spec, err := ParseCoord("26a2a02199ee8ebb@store:Lock_Task:1:KEY:0:-1:0xee")
+	want := Spec{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE}
+	if err != nil || id != "26a2a02199ee8ebb" || !reflect.DeepEqual(spec, want) {
+		t.Errorf("ParseCoord = (%q, %#v, %v), want (26a2a02199ee8ebb, %#v, nil)", id, spec, err, want)
+	}
+	for _, bad := range []string{"", "@", "26a2a02199ee8ebb", "26a2a02199ee8ebb@", "@store:Lock_Task:1:KEY:0:-1:0xee"} {
+		_, _, err := ParseCoord(bad)
+		if wantErr := "-replay wants '<snapshot-id>@<spec>', got \"" + bad + "\""; err == nil || err.Error() != wantErr {
+			t.Errorf("ParseCoord(%q) error = %v, want %s", bad, err, wantErr)
+		}
+	}
+	if _, _, err := ParseCoord("id@nope:f:1:g:0:0:0"); err == nil {
+		t.Error("ParseCoord accepted an unknown spec kind")
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE},

@@ -289,3 +289,20 @@ func ParseSpec(text string) (Spec, error) {
 	}
 	return s, nil
 }
+
+// ParseCoord splits a fork-engine replay coordinate
+// '<snapshot-id>@<spec>' at its first '@' and parses the spec. It
+// rejects a missing '@', an empty id and an empty spec; the error text
+// names the -replay flag, the one way coordinates enter the tools
+// (opec-run and opec-debug both take them there).
+func ParseCoord(s string) (snapID string, spec Spec, err error) {
+	snapID, text, ok := strings.Cut(s, "@")
+	if !ok || snapID == "" || text == "" {
+		return "", Spec{}, fmt.Errorf("-replay wants '<snapshot-id>@<spec>', got %q", s)
+	}
+	spec, err = ParseSpec(text)
+	if err != nil {
+		return "", Spec{}, err
+	}
+	return snapID, spec, nil
+}

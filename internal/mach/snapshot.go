@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-
-	"opec/internal/ir"
 )
 
 // This file implements machine checkpointing: an explicit Snapshot()
@@ -14,9 +12,10 @@ import (
 // cycle clock, Flash/SRAM contents (shared copy-on-write with the live
 // run, pagedmem.go), MPU regions and enable (or PMP entries), the
 // installed proof-certificate table, and device state — plus the
-// Restore() that rewinds a machine to it and the Fork() that clones
-// one. Injection campaigns boot each (app, scheme) once, checkpoint at
-// the pre-injection point, and fork every trial from the snapshot; the
+// Restore() that rewinds a machine to it. Injection campaigns boot each
+// (app, scheme) once, checkpoint at the pre-injection point, and fork
+// every trial from the snapshot by restoring it on the booted machine
+// (a worker that needs a second machine boots its own); the
 // correctness bar is that a forked trial is byte-identical to a
 // power-on boot, verdicts and cycle counts included.
 //
@@ -287,71 +286,4 @@ func (m *Machine) Restore(s *Snapshot) error {
 
 	m.InstallProofs(s.certs)
 	return nil
-}
-
-// Fork clones the bus: Flash and SRAM are shared copy-on-write (both
-// sides diverge privately on write), the protection unit is cloned by
-// value, and the decode caches start cold. The cycle clock and the
-// attached devices remain SHARED with the parent — peripheral models
-// and time are not forked. A fork is therefore a CPU/memory divergence
-// tool (exploring two continuations of the same state); full trial
-// isolation, device state included, is Snapshot/Restore on separately
-// booted machines.
-func (b *Bus) Fork() *Bus {
-	nb := &Bus{
-		MPU:        &MPU{},
-		Clock:      b.Clock,
-		flash:      b.flash.fork(),
-		sram:       b.sram.fork(),
-		devices:    b.devices,
-		noDevCache: b.noDevCache,
-		noFF:       b.noFF,
-		dwtEnabled: b.dwtEnabled,
-	}
-	*nb.MPU = *b.MPU
-	nb.MPU.Trace = nil
-	nb.MPU.Invalidate()
-	switch p := b.Prot.(type) {
-	case *PMP:
-		np := &PMP{}
-		*np = *p
-		nb.Prot = np
-	default:
-		nb.Prot = nb.MPU
-	}
-	return nb
-}
-
-// Fork clones the machine onto a forked bus. The clone shares nothing
-// mutable with the parent: memory diverges copy-on-write, the
-// per-function metadata table is copied (certificate rows are
-// immutable and shared), lateMeta — the registry of functions added
-// after NewMachine — is deep-copied, and the frame pool starts empty.
-// funcAt is shared intentionally: it is written only by NewMachine and
-// immutable afterwards (metaFor registers late functions in lateMeta,
-// never funcAt). Runtime wiring that closes over the parent — Handlers
-// and GlobalAddr — is carried by reference; callers forking under a
-// scheme runtime must re-bind those hooks to the clone. The armed
-// injection and trace attachment are not carried.
-func (m *Machine) Fork() *Machine {
-	nm := &Machine{}
-	*nm = *m
-	nm.Bus = m.Bus.Fork()
-	nm.Clock = nm.Bus.Clock
-	nm.metaByIdx = append([]funcMeta(nil), m.metaByIdx...)
-	if m.lateMeta != nil {
-		nm.lateMeta = make(map[*ir.Function]*funcMeta, len(m.lateMeta))
-		for fn, fm := range m.lateMeta {
-			cp := *fm
-			nm.lateMeta[fn] = &cp
-		}
-	}
-	nm.frames = nil
-	nm.depth = 0
-	nm.inIRQ = false
-	nm.inj = nil
-	nm.Trace = nil
-	nm.traceIDs = nil
-	nm.watch = nil
-	return nm
 }

@@ -26,10 +26,10 @@ import "os"
 // DisableCaches disables the simulator's transparent accelerators — the
 // MPU micro-TLB, the bus's last-device cache and the fast-forward of
 // identical device-wait iterations (ff.go) — for buses and MPUs created
-// afterwards; each bus latches the setting at NewBus and a forked bus
-// inherits it. It is initialised from the OPEC_MACH_NOCACHE environment
-// variable; the differential transparency tests also toggle it directly
-// to prove runs are value-identical either way.
+// afterwards; each bus latches the setting at NewBus. It is initialised
+// from the OPEC_MACH_NOCACHE environment variable; the differential
+// transparency tests also toggle it directly to prove runs are
+// value-identical either way.
 var DisableCaches = os.Getenv("OPEC_MACH_NOCACHE") != ""
 
 const (

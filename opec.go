@@ -131,6 +131,9 @@ const (
 var (
 	// ParseInjectSpec parses the replay syntax of opec-run -inject.
 	ParseInjectSpec = inject.ParseSpec
+	// ParseReplayCoord splits a '<snapshot-id>@<spec>' replay
+	// coordinate (opec-run/opec-debug -replay).
+	ParseReplayCoord = inject.ParseCoord
 	// DefaultInjectConfig is the standard campaign shape at a seed.
 	DefaultInjectConfig = inject.DefaultConfig
 	// ParsePolicy resolves a recovery policy name.
