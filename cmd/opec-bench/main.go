@@ -157,6 +157,9 @@ func main() {
 		}
 		fail(err)
 		fmt.Println(opec.RenderInject(rows))
+		if strings.ToLower(*injectEngine) != "boot" {
+			fmt.Print(opec.RenderResume(rows))
+		}
 		quickFlag := ""
 		if *quick {
 			quickFlag = " -quick"

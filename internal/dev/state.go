@@ -115,15 +115,24 @@ func (r *stateReader) bool() bool { return r.u8() != 0 }
 // bytes returns a private copy: LoadState must leave the snapshot
 // buffer untouched so it can restore again.
 func (r *stateReader) bytes() []byte {
+	if v := r.view(); v != nil {
+		return append(make([]byte, 0, len(v)), v...)
+	}
+	return nil
+}
+
+// view returns the next length-prefixed field in place, for a caller
+// that only copies out of it: the slice aliases the snapshot buffer
+// and must not be written or retained.
+func (r *stateReader) view() []byte {
 	n := int(r.u32())
 	if r.err != nil || r.off+n > len(r.b) {
 		r.fail()
 		return nil
 	}
-	cp := make([]byte, n)
-	copy(cp, r.b[r.off:r.off+n])
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	return cp
+	return v
 }
 
 func (r *stateReader) done(dev string) error {
@@ -233,9 +242,11 @@ func (s *SDCard) SaveState() []byte {
 
 func (s *SDCard) LoadState(data []byte) error {
 	r := stateReader{b: data}
-	img := r.bytes()
+	// Both fields are copied into the card below, so read them in
+	// place: the image is the largest device state a restore loads.
+	img := r.view()
 	arg, cmd, readyAt := r.u32(), r.u32(), r.u64()
-	buf := r.bytes()
+	buf := r.view()
 	bufPos := int(r.u32())
 	reads, writes := r.u64(), r.u64()
 	if err := r.done("SDIO"); err != nil {

@@ -3,6 +3,8 @@ package exper
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"time"
 
 	"opec/internal/aces"
@@ -407,9 +409,9 @@ func measureSnapshot(parallel int) (BenchSnapshot, error) {
 }
 
 // InjectRunsIdentical is the fork-vs-boot differential: byte-identical
-// rendered tables and per-trial agreement on verdict, error text,
-// cycles and recovery counters. The bench snapshot section and
-// opec-bench's -inject-engine diff mode both gate on it.
+// rendered tables and per-trial agreement on every outcome field
+// (OutcomeDiff). The bench snapshot section and opec-bench's
+// -inject-engine diff mode both gate on it.
 func InjectRunsIdentical(boot, fork []InjectRow) bool {
 	if RenderInject(boot) != RenderInject(fork) || len(boot) != len(fork) {
 		return false
@@ -420,15 +422,27 @@ func InjectRunsIdentical(boot, fork []InjectRow) bool {
 			return false
 		}
 		for k := range fr.Outcomes {
-			fo, bo := fr.Outcomes[k], br.Outcomes[k]
-			if fo.Verdict != bo.Verdict || fo.Err != bo.Err || fo.Cycles != bo.Cycles ||
-				fo.Restarts != bo.Restarts || fo.Quarantines != bo.Quarantines ||
-				fo.RestartCycles != bo.RestartCycles {
+			if OutcomeDiff(br.Outcomes[k], fr.Outcomes[k]) != "" {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// OutcomeDiff compares two trial outcomes field by field and names the
+// fields that differ, "" when the outcomes are identical. Every
+// inject.Outcome field takes part, so a field added there is compared
+// without touching this function.
+func OutcomeDiff(want, got inject.Outcome) string {
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	var diffs []string
+	for i := 0; i < w.NumField(); i++ {
+		if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			diffs = append(diffs, fmt.Sprintf("%s %v != %v", w.Type().Field(i).Name, g.Field(i), w.Field(i)))
+		}
+	}
+	return strings.Join(diffs, "; ")
 }
 
 // measureProof collects one workload's proof-coverage summary and the

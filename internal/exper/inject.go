@@ -44,6 +44,10 @@ type InjectRow struct {
 	// the fork-vs-boot differential compares them trial by trial. Not
 	// serialized: the aggregate fields above are the reportable result.
 	Outcomes []inject.Outcome `json:"-"`
+	// Resume totals the row's forges' use of call-entry resume points
+	// (fork engine only). It depends on how trials spread over forges,
+	// so it is observability, not a result: RenderInject omits it.
+	Resume inject.ResumeStats `json:"-"`
 }
 
 // Count returns the number of trials with verdict v.
@@ -52,11 +56,12 @@ func (r *InjectRow) Count(v inject.Verdict) int { return r.Counts[v] }
 // Escapes returns the row's escaped-trial count.
 func (r *InjectRow) Escapes() int { return r.Counts[inject.Escaped] }
 
-// Counters implements trace.CounterSource: the row's verdict histogram
-// and recovery activity under dotted names, for the unified registry.
+// Counters implements trace.CounterSource: the row's verdict histogram,
+// recovery activity and resume tallies under dotted names, for the
+// unified registry.
 func (r *InjectRow) Counters() []trace.Counter {
 	prefix := "inject." + strings.ToLower(r.Scheme) + "."
-	out := make([]trace.Counter, 0, inject.NumVerdicts+2)
+	out := make([]trace.Counter, 0, inject.NumVerdicts+8)
 	for v := 0; v < inject.NumVerdicts; v++ {
 		out = append(out, trace.Counter{
 			Name:  prefix + inject.Verdict(v).String(),
@@ -66,6 +71,12 @@ func (r *InjectRow) Counters() []trace.Counter {
 	out = append(out,
 		trace.Counter{Name: prefix + "restarts", Value: r.Restarts},
 		trace.Counter{Name: prefix + "quarantines", Value: r.Quarantines},
+		trace.Counter{Name: prefix + "resume.resumed", Value: r.Resume.Resumed},
+		trace.Counter{Name: prefix + "resume.prefix_cycles", Value: r.Resume.PrefixCycles},
+		trace.Counter{Name: prefix + "resume.captured", Value: r.Resume.Captured},
+		trace.Counter{Name: prefix + "resume.declined.irq", Value: r.Resume.DeclinedIRQ},
+		trace.Counter{Name: prefix + "resume.declined.untriggered", Value: r.Resume.DeclinedUntriggered},
+		trace.Counter{Name: prefix + "resume.declined.refused", Value: r.Resume.DeclinedRefused},
 	)
 	return out
 }
@@ -88,9 +99,11 @@ type InjectEngine int
 // Campaign engines.
 const (
 	// EngineFork boots each (workload, scheme) row once, checkpoints at
-	// the pre-injection point, and forks every trial from the snapshot.
-	// This is the default: per-trial cost drops from
-	// construct+compile+prove+boot+run to restore+run.
+	// the pre-injection point, and forks every trial from the snapshot,
+	// or from its trigger's call-entry checkpoint once a trial with the
+	// same trigger captured one. This is the default: per-trial cost
+	// drops from construct+compile+prove+boot+run to restore+run, minus
+	// the clean prefix.
 	EngineFork InjectEngine = iota
 	// EngineBoot builds every trial from power-on — the reference
 	// semantics. The differential smoke proves EngineFork renders a
@@ -298,7 +311,7 @@ type forkRow struct {
 
 // forkSched hands out rows and trials to the fork engine's workers. mu
 // guards started, each row's next, forgeErr and joinIDs, and the rows'
-// SnapID.
+// SnapID and Resume.
 type forkSched struct {
 	mu      sync.Mutex
 	rows    []*forkRow
@@ -378,6 +391,9 @@ func (s *forkSched) work(r *forkRow, join bool, pol monitor.Policy) {
 		}
 		p.row.Outcomes[k] = out
 	}
+	s.mu.Lock()
+	p.row.Resume.Add(forge.ResumeStats())
+	s.mu.Unlock()
 }
 
 // err returns the campaign's failure lowest in planning order: a row's
@@ -436,6 +452,18 @@ func RenderInject(rows []InjectRow) string {
 		}
 	}
 	return sb.String()
+}
+
+// RenderResume summarizes the campaign's resume tallies in one line.
+// It is kept apart from RenderInject: the tallies depend on how trials
+// spread over forges, the table must not.
+func RenderResume(rows []InjectRow) string {
+	var t inject.ResumeStats
+	for _, r := range rows {
+		t.Add(r.Resume)
+	}
+	return fmt.Sprintf("resume: %d trials started at their trigger, %d prefix cycles skipped, %d checkpoints captured; declined: irq=%d untriggered=%d refused=%d\n",
+		t.Resumed, t.PrefixCycles, t.Captured, t.DeclinedIRQ, t.DeclinedUntriggered, t.DeclinedRefused)
 }
 
 func replayMode(scheme string) string {

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"errors"
 	"fmt"
 
 	"opec/internal/aces"
@@ -31,13 +32,76 @@ import (
 // `opec-run -replay '<id>@<spec>'` rebuilds the forge (compilation is
 // deterministic), verifies the ID matches, and re-runs the single
 // trial.
+//
+// Run also skips the clean prefix trials share. Trials with the same
+// trigger (function, entry count), policy and budget run identically
+// until the trigger fires, so the first such trial captures a resume
+// point inside its Fire hook, before perturbing anything, and every
+// later one forks from there (run.ResumePoint) — with the same
+// byte-identity contract. The replay coordinate stays the boot
+// checkpoint's ID. TraceRun and ObservedRun always fork from boot:
+// their consumers need the whole event stream.
 type Forge struct {
 	App *apps.App
 
 	inst *apps.Instance
 	opec *run.OPECContext // exactly one of opec/acesCtx is set
 	aces *run.ACESContext
+
+	points map[resumeKey]resumeSlot
+	resume ResumeStats
 }
+
+// resumeKey identifies the clean prefix a trial shares with others.
+type resumeKey struct {
+	fn     string
+	n      int
+	pol    monitor.Policy
+	budget uint64
+}
+
+// resumeSlot is one prefix's resume point, or why none was captured.
+type resumeSlot struct {
+	point *run.ResumePoint
+	err   error
+}
+
+// ResumeStats counts a forge's use of resume points. Every Run trial
+// is either resumed, the one that captured its prefix's point, or
+// declined for one reason.
+type ResumeStats struct {
+	Resumed      uint64 // trials forked from their trigger's resume point
+	PrefixCycles uint64 // clean-prefix cycles the resumed trials skipped
+	Captured     uint64 // resume points taken
+	// Declines by reason: the trigger fired inside an IRQ handler, the
+	// trigger never fired, or the machine refused the checkpoint.
+	DeclinedIRQ         uint64
+	DeclinedUntriggered uint64
+	DeclinedRefused     uint64
+}
+
+// Add accumulates o into s.
+func (s *ResumeStats) Add(o ResumeStats) {
+	s.Resumed += o.Resumed
+	s.PrefixCycles += o.PrefixCycles
+	s.Captured += o.Captured
+	s.DeclinedIRQ += o.DeclinedIRQ
+	s.DeclinedUntriggered += o.DeclinedUntriggered
+	s.DeclinedRefused += o.DeclinedRefused
+}
+
+// decline counts one trial that could not resume because capture
+// failed with err.
+func (s *ResumeStats) decline(err error) {
+	if errors.Is(err, mach.ErrCheckpointInIRQ) {
+		s.DeclinedIRQ++
+	} else {
+		s.DeclinedRefused++
+	}
+}
+
+// ResumeStats returns the forge's resume tallies so far.
+func (f *Forge) ResumeStats() ResumeStats { return f.resume }
 
 // NewForge compiles and boots app under OPEC and checkpoints it.
 func NewForge(app *apps.App) (*Forge, error) {
@@ -153,27 +217,30 @@ func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *tr
 			err = nil
 		}
 	}()
-	res, runErr := f.opec.Fork(run.Options{
-		Policy:    pol,
-		MaxCycles: maxCycles,
-		Trace:     buf,
-		Arm: func(m *mach.Machine) {
-			// Same arming as the power-on path (TraceOPEC): campaigns run
-			// fully adjudicated. The restore that preceded this call
-			// reinstated the boot-time certificate table; clearing it here,
-			// after restore, is what keeps a later in-trial restart from
-			// resurrecting elision for the corrupted run.
-			m.InstallProofs(nil)
-			// The assignment (not a conditional set) matters: CovEvents is
-			// host-side machine state the snapshot doesn't rewind, so a
-			// coverage-traced trial must not leak the flag into the next
-			// plain trial on the same forge.
-			m.CovEvents = cov
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
-			if observe != nil {
-				observe(m)
-			}
-		},
+	key := resumeKey{fn: spec.Func, n: spec.N, pol: pol, budget: maxCycles}
+	res, runErr := f.fork(key, buf == nil && observe == nil, fire, func(fire func(*mach.Machine) error) run.Options {
+		return run.Options{
+			Policy:    pol,
+			MaxCycles: maxCycles,
+			Trace:     buf,
+			Arm: func(m *mach.Machine) {
+				// Same arming as the power-on path (TraceOPEC): campaigns run
+				// fully adjudicated. The restore that preceded this call
+				// reinstated the boot-time certificate table; clearing it here,
+				// after restore, is what keeps a later in-trial restart from
+				// resurrecting elision for the corrupted run.
+				m.InstallProofs(nil)
+				// The assignment (not a conditional set) matters: CovEvents is
+				// host-side machine state the snapshot doesn't rewind, so a
+				// coverage-traced trial must not leak the flag into the next
+				// plain trial on the same forge.
+				m.CovEvents = cov
+				m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
+				if observe != nil {
+					observe(m)
+				}
+			},
+		}
 	})
 	var checkErr error
 	if runErr == nil {
@@ -216,11 +283,14 @@ func (f *Forge) runACES(spec Spec, maxCycles uint64) (out Outcome, err error) {
 			err = nil
 		}
 	}()
-	res, runErr := f.aces.Fork(run.Options{
-		MaxCycles: maxCycles,
-		Arm: func(m *mach.Machine) {
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
-		},
+	key := resumeKey{fn: spec.Func, n: spec.N, budget: maxCycles}
+	res, runErr := f.fork(key, true, fire, func(fire func(*mach.Machine) error) run.Options {
+		return run.Options{
+			MaxCycles: maxCycles,
+			Arm: func(m *mach.Machine) {
+				m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
+			},
+		}
 	})
 	var checkErr error
 	if runErr == nil {
@@ -231,4 +301,55 @@ func (f *Forge) runACES(spec Spec, maxCycles uint64) (out Outcome, err error) {
 	}
 	out.Verdict, out.Err = classify(state, 0, runErr, checkErr)
 	return out, nil
+}
+
+// forker is the booted context a forge forks trials from.
+type forker interface {
+	Fork(run.Options) (*run.Result, error)
+	ForkFrom(*run.ResumePoint, run.Options) (*run.Result, error)
+	Capture() (*run.ResumePoint, error)
+}
+
+// fork runs one trial whose injection hook is fire; opts builds the
+// trial's options around the hook to arm. A resumable trial forks from
+// its prefix's resume point when one exists; the first trial of a
+// prefix captures it, wrapping fire so the capture precedes the
+// perturbation.
+func (f *Forge) fork(key resumeKey, resumable bool, fire func(*mach.Machine) error, opts func(func(*mach.Machine) error) run.Options) (*run.Result, error) {
+	var ctx forker = f.aces
+	if f.opec != nil {
+		ctx = f.opec
+	}
+	if !resumable {
+		return ctx.Fork(opts(fire))
+	}
+	slot, known := f.points[key]
+	switch {
+	case slot.point != nil:
+		f.resume.Resumed++
+		f.resume.PrefixCycles += slot.point.PrefixCycles()
+		return ctx.ForkFrom(slot.point, opts(fire))
+	case known:
+		f.resume.decline(slot.err)
+		return ctx.Fork(opts(fire))
+	}
+	fired := false
+	res, err := ctx.Fork(opts(func(m *mach.Machine) error {
+		fired = true
+		p, err := ctx.Capture()
+		if err != nil {
+			f.resume.decline(err)
+		} else {
+			f.resume.Captured++
+		}
+		if f.points == nil {
+			f.points = make(map[resumeKey]resumeSlot)
+		}
+		f.points[key] = resumeSlot{point: p, err: err}
+		return fire(m)
+	}))
+	if !fired {
+		f.resume.DeclinedUntriggered++
+	}
+	return res, err
 }

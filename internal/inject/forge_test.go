@@ -7,12 +7,14 @@ import (
 	"opec/internal/apps"
 	"opec/internal/mach"
 	"opec/internal/monitor"
+	"opec/internal/trace"
 )
 
 // The forge's byte-identity contract on a single trial: forking the
 // §6.1 rogue store from the checkpoint returns the same outcome as a
 // power-on run, and the forge machine is reusable — the same trial
-// forked twice in a row agrees with itself.
+// forked again agrees with itself. The first fork captures the
+// trigger's resume point and the later ones start there.
 func TestForgeMatchesPowerOnTrial(t *testing.T) {
 	app := apps.PinLockN(2)
 	spec := Spec{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE}
@@ -29,7 +31,7 @@ func TestForgeMatchesPowerOnTrial(t *testing.T) {
 	if forge.SnapshotID() == "" {
 		t.Fatal("forge has no snapshot id")
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		got, err := forge.Run(spec, pol, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -37,6 +39,50 @@ func TestForgeMatchesPowerOnTrial(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("fork %d: outcome %+v != power-on %+v", i, got, want)
 		}
+	}
+	if rs := forge.ResumeStats(); rs.Captured != 1 || rs.Resumed != 2 || rs.PrefixCycles == 0 {
+		t.Errorf("resume stats %+v, want 1 capture then 2 resumed trials skipping a prefix", rs)
+	}
+}
+
+// Only plain Run trials resume. Traced and observed runs need the
+// whole event stream, so they fork from boot and leave the tallies
+// alone; a different policy or budget is a different prefix.
+func TestForgeResumesOnlyUntracedRuns(t *testing.T) {
+	app := apps.PinLockN(2)
+	spec := Spec{Kind: BitFlip, Func: "Lock_Task", N: 1, Target: "KEY", Bit: 3}
+	pol := monitor.Policy{Kind: monitor.RestartOperation}
+	forge, err := NewForge(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := forge.TraceRun(spec, pol, 0, trace.NewBuffer(1<<12), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := forge.ResumeStats(); rs != (ResumeStats{}) {
+		t.Fatalf("traced run touched the resume tallies: %+v", rs)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := forge.Run(spec, pol, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: outcome %+v != traced %+v", i, got, want)
+		}
+	}
+	if _, err := forge.Run(spec, monitor.Policy{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := forge.Run(spec, pol, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := forge.TraceRun(spec, pol, 0, trace.NewBuffer(1<<12), false); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("traced run after resumed ones: %+v, %v; want %+v", got, err, want)
+	}
+	if rs := forge.ResumeStats(); rs.Captured != 3 || rs.Resumed != 1 {
+		t.Errorf("resume stats %+v, want 3 captures (one per policy and budget) and 1 resumed trial", rs)
 	}
 }
 

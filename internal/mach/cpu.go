@@ -101,6 +101,13 @@ type Machine struct {
 	irqs  []irqBinding
 	inIRQ bool
 
+	// trigDepth is the call depth of an entry-trigger Fire hook in
+	// progress (0 otherwise): the one point Checkpoint accepts. pending
+	// is the checkpoint ResumeAt installed for the next Run
+	// (checkpoint.go).
+	trigDepth int
+	pending   *Checkpoint
+
 	// inj is the armed fault injection, if any (see Arm).
 	inj *Injection
 
@@ -342,11 +349,25 @@ func (m *Machine) BindIRQ(src IRQSource, handler *ir.Function) {
 
 // Run executes fn with the given arguments until it returns, the
 // program halts, or an unrecoverable fault occurs.
+//
+// After ResumeAt, Run instead re-enters the checkpoint's activation
+// chain, whose root must be fn, and continues from the trigger.
 func (m *Machine) Run(fn *ir.Function, args ...uint32) (uint32, error) {
 	if m.SP == 0 {
 		m.SP = m.StackTop
 	}
-	ret, err := m.call(fn, args)
+	var ret uint32
+	var err error
+	if c := m.pending; c != nil {
+		m.pending = nil
+		if root := c.frames[0].fn; root != fn {
+			err = fmt.Errorf("mach: resume %s from a checkpoint taken under %s", fn.Name, root.Name)
+		} else {
+			ret, err = m.resumeCall(c, 0)
+		}
+	} else {
+		ret, err = m.call(fn, args)
+	}
 	if errors.Is(err, errHalt) {
 		m.Halted = true
 		return ret, nil
@@ -367,6 +388,13 @@ type frame struct {
 	argBase uint32   // address of spilled args
 	argbuf  []uint32 // evalArgs scratch; valid until this frame's next call
 	ff      ffState  // loop-head tracker of the running activation (ff.go)
+
+	// The frame's latest call, read only by Checkpoint: the call
+	// instruction, and for an SVC the caller's privilege and the
+	// argument copy a retry re-enters the body with.
+	site    *ir.Instr
+	svcPriv bool
+	svcArgs []uint32
 }
 
 // frameAt returns the pooled frame for one-based call depth d.
@@ -433,42 +461,58 @@ func (m *Machine) call(fn *ir.Function, args []uint32) (uint32, error) {
 	if inj := m.inj; inj != nil && inj.Func == fn {
 		m.Bus.effects++
 		if inj.N--; inj.N <= 0 {
-			m.inj = nil
-			if err := inj.Fire(m); err != nil {
+			if err := m.fire(inj); err != nil {
 				m.SP = savedSP
 				return 0, m.locate(fr, fm, err)
 			}
 		}
 	}
 
-	ret, err := m.exec(fr, localBase, fm)
+	ret, err := m.exec(fr, localBase, fm, fn.Entry(), 0)
 	m.SP = savedSP
 	m.Clock.Advance(CostRet)
 	return ret, err
 }
 
-// exec runs the block graph of fr.fn.
-func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error) {
-	blk := fr.fn.Entry()
+// fire disarms inj and runs its hook at an entry trigger. While the
+// hook runs, trigDepth marks the triggering activation as the one point
+// Checkpoint accepts.
+func (m *Machine) fire(inj *Injection) error {
+	m.inj = nil
+	m.trigDepth = m.depth
+	err := inj.Fire(m)
+	m.trigDepth = 0
+	return err
+}
+
+// exec runs the block graph of fr.fn from instruction from of blk. A
+// call enters at the entry block with from 0: a fresh activation, so
+// the loop-head tracker resets and the entry block's boundary tick runs
+// first. A resumed activation (checkpoint.go) enters after its
+// in-flight call, past that block's tick.
+func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta, blk *ir.Block, from int) (uint32, error) {
 	// Hoisted out of the per-instruction path: the certificate row and
 	// alloca offsets are activation constants, and reading them through
 	// fm on every load/store costs a dependent pointer chase in the
 	// hottest loop the simulator has.
 	certs, allocaOff := fm.certs, fm.allocaOff
-	fr.ff.head = nil
 	ff := !m.Bus.noFF
-	for {
+	if from == 0 {
+		fr.ff.head = nil
 		if err := m.tick(); err != nil {
 			return 0, err
 		}
 		if m.Trace != nil && m.CovEvents {
 			m.emitBlock(fr.fn, blk.Index())
 		}
-		for _, in := range blk.Instrs {
+	}
+	for {
+		for _, in := range blk.Instrs[from:] {
 			if err := m.step(fr, in, localBase, certs, allocaOff); err != nil {
 				return 0, m.locate(fr, fm, err)
 			}
 		}
+		from = 0
 		m.Clock.Advance(CostInstr) // terminator
 		m.InstrCount++
 		var next *ir.Block
@@ -501,6 +545,12 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 			m.ffVisit(fr)
 		}
 		blk = next
+		if err := m.tick(); err != nil {
+			return 0, err
+		}
+		if m.Trace != nil && m.CovEvents {
+			m.emitBlock(fr.fn, blk.Index())
+		}
 	}
 }
 
@@ -639,6 +689,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 		if err != nil {
 			return err
 		}
+		fr.site = in
 		ret, err := m.dispatchCall(fr.fn, in.Fn, args)
 		if err != nil {
 			return err
@@ -667,6 +718,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 		if err != nil {
 			return err
 		}
+		fr.site = in
 		ret, err := m.dispatchCall(fr.fn, callee, args)
 		if err != nil {
 			return err
@@ -678,7 +730,8 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 		if err != nil {
 			return err
 		}
-		ret, err := m.svcCall(in.Fn, args)
+		fr.site = in
+		ret, err := m.svcCall(fr, in.Fn, args)
 		if err != nil {
 			return err
 		}
@@ -709,6 +762,11 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 		}
 	}
 	ret, err := m.call(callee, args)
+	return m.callReturn(caller, callee, ret, err)
+}
+
+// callReturn is dispatchCall's epilogue, run once the callee returned.
+func (m *Machine) callReturn(caller, callee *ir.Function, ret uint32, err error) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
@@ -729,8 +787,9 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 // monitor enter (privileged), unprivileged body, exception for exit,
 // monitor exit. A failing body consults the SvcFault handler, which may
 // re-enter it (RestartOperation) or complete the SVC with a sentinel
-// (Quarantine) instead of unwinding.
-func (m *Machine) svcCall(entry *ir.Function, args []uint32) (uint32, error) {
+// (Quarantine) instead of unwinding. fr is the issuing frame, nil for a
+// forged call from an injection hook.
+func (m *Machine) svcCall(fr *frame, entry *ir.Function, args []uint32) (uint32, error) {
 	m.Bus.effects++
 	m.SwitchCount++
 	m.Clock.Advance(CostExcEntry)
@@ -761,9 +820,19 @@ func (m *Machine) svcCall(entry *ir.Function, args []uint32) (uint32, error) {
 	if m.Trace != nil {
 		m.emitExc(trace.EvExcReturn, trace.ExcSVC, CostExcReturn)
 	}
+	if fr != nil {
+		fr.svcPriv, fr.svcArgs = wasPriv, args
+	}
+	ret, err := m.call(entry, args)
+	return m.svcFinish(entry, args, wasPriv, ret, err)
+}
 
+// svcFinish is svcCall's epilogue, run once the body returned: policy
+// consultation and retries on failure, the exit gate on success. args
+// are the body's arguments after SvcEnter; wasPriv is the caller's
+// privilege.
+func (m *Machine) svcFinish(entry *ir.Function, args []uint32, wasPriv bool, ret uint32, err error) (uint32, error) {
 	for {
-		ret, err := m.call(entry, args)
 		if err != nil {
 			if m.Handlers.SvcFault == nil || errors.Is(err, errHalt) {
 				return 0, err
@@ -781,6 +850,7 @@ func (m *Machine) svcCall(entry *ir.Function, args []uint32) (uint32, error) {
 			}
 			switch res.Action {
 			case SvcRetry:
+				ret, err = m.call(entry, args)
 				continue
 			case SvcReturn:
 				// The handler already unwound the operation context;

@@ -46,7 +46,7 @@ func (m *Machine) InjectStore(addr uint32, size int, v uint32) error {
 // InjectSvc issues an operation-entry supervisor call from the current
 // context — a forged gate call with attacker-chosen arguments.
 func (m *Machine) InjectSvc(entry *ir.Function, args []uint32) (uint32, error) {
-	return m.svcCall(entry, args)
+	return m.svcCall(nil, entry, args)
 }
 
 // SvcSkip, returned as the error of a SvcEnter handler, short-circuits

@@ -100,9 +100,12 @@ type Snapshot struct {
 func (s *Snapshot) ID() string { return s.id }
 
 // Snapshot checkpoints the machine. The machine must be quiescent — at
-// call depth zero and outside any IRQ — because activation records
-// live in host memory, not simulated SRAM; the campaign checkpoint
-// point (booted, armed-nothing, about to run) satisfies this.
+// call depth zero and outside any IRQ — because a snapshot records no
+// activation records: the campaign checkpoint point (booted,
+// armed-nothing, about to run) satisfies this. A point inside a run is
+// captured by Checkpoint instead (checkpoint.go), which records the
+// live activation chain and can only be taken at a call-entry
+// injection trigger.
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.depth != 0 {
 		return nil, fmt.Errorf("mach: snapshot at call depth %d: machine must be quiescent", m.depth)
@@ -110,8 +113,19 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.inIRQ {
 		return nil, fmt.Errorf("mach: snapshot inside IRQ handler: machine must be quiescent")
 	}
+	s := &Snapshot{}
+	m.capture(s)
+	s.id = s.hashID()
+	return s, nil
+}
+
+// Cycles returns the clock value the snapshot was taken at.
+func (s *Snapshot) Cycles() uint64 { return s.cycles }
+
+// capture fills s with the machine's state, all but the content hash.
+func (m *Machine) capture(s *Snapshot) {
 	b := m.Bus
-	s := &Snapshot{
+	*s = Snapshot{
 		cycles:       m.Clock.Now(),
 		dwtEnabled:   b.dwtEnabled,
 		privileged:   m.Privileged,
@@ -153,8 +167,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 		s.devs = append(s.devs, ds)
 	}
-	s.id = s.hashID()
-	return s, nil
 }
 
 // hashID computes the snapshot's content identity.
@@ -198,6 +210,15 @@ func hashPages(h hash.Hash, label string, pages [][]byte) {
 // buffers are detached and any armed injection disarmed; the caller
 // re-attaches and re-arms per trial.
 func (m *Machine) Restore(s *Snapshot) error {
+	if err := m.restore(s); err != nil {
+		return err
+	}
+	m.pending = nil
+	return nil
+}
+
+// restore rewinds the machine to s; Restore and ResumeAt share it.
+func (m *Machine) restore(s *Snapshot) error {
 	b := m.Bus
 	if len(s.flashPages) != len(b.flash.pages) || len(s.sramPages) != len(b.sram.pages) {
 		return fmt.Errorf("mach: restore: snapshot is for a different memory geometry")
@@ -246,6 +267,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.proofChecked = s.proofChecked
 	m.depth = 0
 	m.inIRQ = false
+	m.trigDepth = 0
 	m.inj = nil
 	m.Trace = nil
 	m.watch = nil

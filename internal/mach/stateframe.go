@@ -7,10 +7,11 @@ import (
 )
 
 // Mid-run state frames. Snapshot() demands a quiescent machine because
-// activation records live on the host stack, so a mid-run checkpoint
-// can never be *resumed*. A StateFrame makes the weaker — and mid-run
-// safe — capture the time-travel debugger's keyframe checkpointer
-// needs: an immutable copy-on-write image of the architected state
+// activation records live on the host stack, and the one resumable
+// mid-run capture, Checkpoint (checkpoint.go), is legal only at a
+// call-entry injection trigger. A StateFrame makes the weaker — and
+// anywhere mid-run safe — capture the time-travel debugger's keyframe
+// checkpointer needs: an immutable copy-on-write image of the architected state
 // (memory pages, devices, protection unit, CPU scalars) taken at any
 // point, including deep inside an activation. It cannot restart
 // execution; it anchors deterministic re-execution instead. Seeking to

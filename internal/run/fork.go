@@ -1,6 +1,8 @@
 package run
 
 import (
+	"errors"
+
 	"opec/internal/aces"
 	"opec/internal/apps"
 	"opec/internal/core"
@@ -18,6 +20,30 @@ import (
 // text and the same absolute cycle count as a fresh OPECWith call with
 // those Options, because the clock, stats and monitor bookkeeping all
 // rewind to their boot values.
+//
+// A trial can also restart further in: Capture, called inside the Fire
+// hook of a trial's call-entry injection, takes a ResumePoint — the
+// machine's mach.Checkpoint plus the runtime's host state at the same
+// instant — and ForkFrom runs a later trial from there, skipping the
+// clean prefix the two trials share. Same contract: a trial forked
+// from a resume point taken under the same trigger, policy and budget
+// returns what Fork returns.
+
+// ResumePoint is a call-entry checkpoint of a forked run.
+type ResumePoint struct {
+	cp     *mach.Checkpoint
+	mon    *monitor.Snapshot // OPEC runs
+	rt     *aces.Snapshot    // ACES runs
+	prefix uint64
+}
+
+// PrefixCycles returns the cycles from the boot checkpoint to the
+// resume point: what a trial forked from it does not re-simulate.
+func (p *ResumePoint) PrefixCycles() uint64 { return p.prefix }
+
+// errResumeTraced rejects a traced run from a resume point: its trace
+// would lack the prefix's events.
+var errResumeTraced = errors.New("run: a run forked from a resume point cannot be traced")
 
 // OPECContext is a booted, checkpointed OPEC instance.
 type OPECContext struct {
@@ -67,6 +93,37 @@ func (c *OPECContext) Fork(opts Options) (*Result, error) {
 	if err := c.Reset(); err != nil {
 		return nil, err
 	}
+	return c.run(opts)
+}
+
+// Capture takes a resume point. It is legal only inside the Fire hook
+// of a call-entry injection, before the hook perturbs anything
+// (mach.Machine.Checkpoint), and fails with mach.ErrCheckpointInIRQ
+// when the trigger fired inside an IRQ handler.
+func (c *OPECContext) Capture() (*ResumePoint, error) {
+	cp, err := c.Mon.M.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return &ResumePoint{cp: cp, mon: c.Mon.Snapshot(), prefix: cp.Cycles() - c.snap.Cycles()}, nil
+}
+
+// ForkFrom is Fork from a resume point instead of the boot checkpoint.
+// opts must arm the same trigger the point was captured at; the armed
+// injection fires on resumption. Untraced runs only.
+func (c *OPECContext) ForkFrom(p *ResumePoint, opts Options) (*Result, error) {
+	if opts.Trace != nil {
+		return nil, errResumeTraced
+	}
+	if err := c.Mon.M.ResumeAt(p.cp); err != nil {
+		return nil, err
+	}
+	c.Mon.Restore(p.mon)
+	return c.run(opts)
+}
+
+// run applies opts to the rewound machine and runs it.
+func (c *OPECContext) run(opts Options) (*Result, error) {
 	mon := c.Mon
 	mon.Policy = opts.Policy
 	mon.M.MaxCycles = c.Inst.MaxCycles
@@ -130,6 +187,32 @@ func (c *ACESContext) Fork(opts Options) (*Result, error) {
 	if err := c.Reset(); err != nil {
 		return nil, err
 	}
+	return c.run(opts)
+}
+
+// Capture is OPECContext.Capture for the ACES runtime.
+func (c *ACESContext) Capture() (*ResumePoint, error) {
+	cp, err := c.RT.M.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return &ResumePoint{cp: cp, rt: c.RT.Snapshot(), prefix: cp.Cycles() - c.snap.Cycles()}, nil
+}
+
+// ForkFrom is OPECContext.ForkFrom for the ACES runtime.
+func (c *ACESContext) ForkFrom(p *ResumePoint, opts Options) (*Result, error) {
+	if opts.Trace != nil {
+		return nil, errResumeTraced
+	}
+	if err := c.RT.M.ResumeAt(p.cp); err != nil {
+		return nil, err
+	}
+	c.RT.Restore(p.rt)
+	return c.run(opts)
+}
+
+// run applies opts to the rewound machine and runs it.
+func (c *ACESContext) run(opts Options) (*Result, error) {
 	rt := c.RT
 	rt.M.MaxCycles = c.Inst.MaxCycles
 	if opts.MaxCycles > 0 {

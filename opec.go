@@ -144,6 +144,8 @@ var (
 	InjectACES = inject.RunACES
 	// RenderInject prints a campaign's containment table.
 	RenderInject = exper.RenderInject
+	// RenderResume prints a campaign's one-line resume summary.
+	RenderResume = exper.RenderResume
 	// NewForge boots one workload under OPEC and checkpoints it at the
 	// pre-injection point; NewACESForge does the same under an ACES
 	// strategy.
